@@ -304,6 +304,18 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _integer(value, name: str) -> int:
+    """An integral config value; int() alone would run 2.7 as 2 and true as 1."""
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer()
+    )
+    _require(
+        integral and not isinstance(value, bool),
+        f"{name} must be an integer, got {value!r}",
+    )
+    return int(value)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Validate a parsed config mapping against its preset."""
     _require(isinstance(data, dict), "config must be a mapping")
@@ -318,11 +330,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _require(not unknown, f"unknown scan keys: {sorted(unknown)}")
     start = float(scan.get("start", info.default_scan[0]))
     stop = float(scan.get("stop", info.default_scan[1]))
-    points = int(scan.get("points", info.default_scan[2]))
+    points = _integer(scan.get("points", info.default_scan[2]), "scan.points")
     _require(points >= 1, "scan needs at least one point")
     _require(stop >= start, "scan stop must be >= start")
 
-    n_shots = int(data.get("n_shots", info.default_shots))
+    n_shots = _integer(data.get("n_shots", info.default_shots), "n_shots")
     _require(n_shots >= 1, "n_shots must be >= 1")
     mode = str(data.get("mode", "expectation"))
     _require(mode in ("expectation", "sampled"), f"unknown mode {mode!r}")
@@ -376,7 +388,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         scan=(start, stop, points),
         n_shots=n_shots,
         mode=mode,
-        master_seed=int(data.get("master_seed", 0)),
+        master_seed=_integer(data.get("master_seed", 0), "master_seed"),
         output_dir=str(data.get("output_dir", "runs")),
         dt_max=dt_max,
         atom=atom,
@@ -391,7 +403,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         sequence=sequence,
         blockade_model=blockade_model,
         ideal_pulses=bool(data.get("ideal_pulses", False)),
-        n_workers=int(data.get("n_workers", 1)),
+        n_workers=_integer(data.get("n_workers", 1), "n_workers"),
         raw=data,
     )
     cfg.system()  # surface inconsistent model/noise combinations now

@@ -283,3 +283,32 @@ class TestDetectionCorrection:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             detection_corrected_fidelity(1.5, PERFECT_DETECTION)
+
+
+class TestTwoAtomStepConvergence:
+    """The stiff step cap 0.04/||H||inf is converged for the pair presets."""
+
+    @pytest.mark.parametrize("preset, value, tol", [
+        ("blockade_rabi", 1.6, 1e-8),  # measured 5.3e-10
+        ("w_echo", 60.0, 1e-7),  # measured 6.1e-8, over a 1.4e5-step hold at U = 30 MHz
+    ])
+    def test_halving_the_capped_step_is_converged(self, preset, value, tol):
+        from rydsim.dynamics import DEFAULT_DT_MAX
+        from rydsim.experiments import config_from_dict
+        from rydsim.pulses import NoiseSample, compile_sequence, run_compiled
+
+        cfg = config_from_dict({"preset": preset})  # every channel on, U = 30 MHz
+        system = cfg.system()
+        noise = NoiseSample((35.0, -20.0), (0.15, -0.1))
+        compiled = compile_sequence(cfg.ensemble_spec().build(value), system, noise)
+        caps = [
+            min(DEFAULT_DT_MAX, 0.04 / np.linalg.norm(seg.hamiltonian, np.inf))
+            for seg in compiled.segments
+        ]
+        assert max(caps) < DEFAULT_DT_MAX  # the cap, not dt_max, sets every step
+        fine = min(caps) / 2
+        rho0 = system.initial_state()
+        p1 = run_compiled(compiled, rho0).populations()
+        p2 = run_compiled(compiled, rho0, dt_max=fine).populations()
+        for label in system.basis_labels:
+            assert abs(p1[label] - p2[label]) < tol, label

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rydsim import dynamics
 from rydsim.dynamics import (
     DensityMatrix,
     LindbladChannel,
@@ -11,6 +12,7 @@ from rydsim.dynamics import (
     coherence,
     evolve,
     hermiticity_defect,
+    liouvillian,
     matrices_close,
     population,
     tensor,
@@ -158,6 +160,68 @@ class TestEvolveInvariants:
             w, v = np.linalg.eigh(h)
             u = (v * np.exp(-1j * w * t)) @ v.conj().T
             np.testing.assert_allclose(final, u @ rho0.matrix @ u.conj().T, atol=1e-8)
+
+
+def full_space(pattern, support):
+    idx = np.arange(len(support))
+    return idx, np.ix_(idx, idx)
+
+
+def compiled_shot(preset, value, **config):
+    """One shot of a preset with every channel on and a nonzero noise draw."""
+    from rydsim.experiments import config_from_dict
+    from rydsim.pulses import NoiseSample, compile_sequence
+
+    cfg = config_from_dict({"preset": preset, **config})
+    system = cfg.system()
+    n = system.n_atoms
+    noise = NoiseSample((35.0, -20.0)[:n], (0.15, -0.1)[:n])
+    return system, compile_sequence(cfg.ensemble_spec().build(value), system, noise)
+
+
+class TestInvariantSubspace:
+    @staticmethod
+    def trajectory(system, compiled, sample_dt):
+        rho = system.initial_state()
+        states = []
+        for step in compiled.steps:
+            if step.unitary is not None:
+                rho = apply_unitary(rho, step.unitary)
+                continue
+            traj = evolve(rho, [step.segment], step.channels, sample_dt=sample_dt)
+            states += [dm.matrix for _, dm in traj[1:]]
+            rho = traj[-1][1]
+        return np.array(states)
+
+    @pytest.mark.parametrize("sample_dt", [None, 0.05])
+    @pytest.mark.parametrize("preset, value", [
+        ("spin_echo", 6.0), ("w_echo", 4.0), ("parity_scan", 0.2),
+    ])
+    def test_matches_full_space_propagation(self, monkeypatch, preset, value, sample_dt):
+        system, compiled = compiled_shot(preset, value, noise={"gamma_laser": 0.1})
+        restricted = self.trajectory(system, compiled, sample_dt)
+        monkeypatch.setattr(dynamics, "_invariant_subspace", full_space)
+        full = self.trajectory(system, compiled, sample_dt)
+        assert restricted.shape == full.shape
+        assert len(full) > len(compiled.segments) or sample_dt is None
+        assert np.abs(restricted - full).max() <= 1e-12
+
+    @pytest.mark.parametrize("preset, config, kept, total", [
+        ("spin_echo", {}, 5, 9),
+        ("w_echo", {}, 25, 81),
+        ("w_echo", {"blockade_model": "projected"}, 9, 9),
+    ])
+    def test_subspace_size(self, preset, config, kept, total):
+        system, compiled = compiled_shot(preset, 4.0, noise={"gamma_laser": 0.1}, **config)
+        rho = system.initial_state()
+        sizes = set()
+        for step in compiled.steps:
+            m = liouvillian(step.segment.hamiltonian, step.channels)
+            vec = rho.matrix.reshape(-1)
+            idx, _ = dynamics._invariant_subspace((m != 0).tobytes(), (vec != 0).tobytes())
+            sizes.add((len(idx), m.shape[0]))
+            rho = evolve(rho, [step.segment], step.channels)[-1][1]
+        assert sizes == {(kept, total)}
 
 
 class TestStateAccessors:

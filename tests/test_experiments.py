@@ -58,6 +58,41 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config_from_dict({"preset": "rabi", "scan": {"start": 2.0, "stop": 1.0}})
 
+    @pytest.mark.parametrize("value", [2.7, True, "3"])
+    def test_n_shots_must_be_integral(self, value):
+        with pytest.raises(ConfigError, match="n_shots must be an integer"):
+            config_from_dict({"preset": "rabi", "n_shots": value})
+
+    @pytest.mark.parametrize("value", [3.9, False])
+    def test_scan_points_must_be_integral(self, value):
+        with pytest.raises(ConfigError, match="scan.points must be an integer"):
+            config_from_dict({"preset": "rabi", "scan": {"points": value}})
+
+    @pytest.mark.parametrize("value", [0.5, True])
+    def test_master_seed_must_be_integral(self, value):
+        with pytest.raises(ConfigError, match="master_seed must be an integer"):
+            config_from_dict({"preset": "rabi", "master_seed": value})
+
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_n_workers_must_be_integral(self, value):
+        with pytest.raises(ConfigError, match="n_workers must be an integer"):
+            config_from_dict({"preset": "rabi", "n_workers": value})
+
+    def test_integral_floats_accepted(self):
+        cfg = config_from_dict(
+            {"preset": "rabi", "n_shots": 4.0, "scan": {"points": 3.0},
+             "master_seed": 7.0, "n_workers": 2.0}
+        )
+        values = (cfg.n_shots, cfg.scan[2], cfg.master_seed, cfg.n_workers)
+        assert values == (4, 3, 7, 2)
+        assert all(type(v) is int for v in values)
+
+    def test_truncating_value_exits_1_from_cli(self, tmp_path, capsys):
+        config = tmp_path / "cfg.yaml"
+        config.write_text("preset: rabi\nn_shots: 2.7\n")
+        assert main(["run", str(config)]) == 1
+        assert "n_shots must be an integer" in capsys.readouterr().err
+
     def test_detection_table_roundtrip(self):
         cfg = config_from_dict(
             {
@@ -204,6 +239,22 @@ class TestCli:
         config = tmp_path / "bad.yaml"
         config.write_text("preset: rabi\nshots: 5\n")
         assert main(["run", str(config)]) == 1
+
+    def test_numerical_blow_up_exits_2_without_traceback(self, tmp_path, capsys):
+        # the step cap ignores the dissipator, so RK4 goes unstable at this rate
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            "preset: rabi\n"
+            "n_shots: 1\n"
+            "n_workers: 1\n"
+            "scan: {start: 0.1, stop: 0.2, points: 2}\n"
+            "noise: {gamma_laser: 3000}\n"
+            f"output_dir: {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "Traceback" not in err
 
     def test_workers_env_validated(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RYDSIM_WORKERS", "not-a-number")
