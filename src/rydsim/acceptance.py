@@ -288,15 +288,6 @@ ALL_CHECKS: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run_check(criterion: int) -> CheckResult:
-    for num, title, fn in ALL_CHECKS:
-        if num == criterion:
-            start = time.perf_counter()
-            passed, detail = fn()
-            return CheckResult(num, title, passed, detail, time.perf_counter() - start)
-    raise ValueError(f"no acceptance criterion {criterion}")
-
-
 def run_all(echo: bool = True) -> list[CheckResult]:
     results = []
     for num, title, fn in ALL_CHECKS:

@@ -19,9 +19,18 @@ a polynomial in M, so every entry outside that set stays exactly zero and
 the restriction skips only zero-valued terms. The dark r' state makes it
 small: 5 of 9 entries for one atom starting in g, 25 of 81 for two atoms.
 
+On that set the state is held in real coordinates (Re rho_ii, and Re rho_ij
+and Im rho_ij for i < j), in which M is a real matrix of the same size, so
+the RK4 map is built and powered with real products (a 25x25 real product
+costs about half of a complex one). The index maps are cached per set.
+
+Each segment's step is capped so that h*||H||inf and h*||D||inf (D the
+dissipator) stay at most 0.04: strong interactions and fast decays get
+finer steps than ``dt_max``, and RK4 stays stable.
+
 The trace is never renormalized. Every state ``evolve`` returns is checked
-once, on the raw vector, for finite entries, Hermiticity, unit trace and
-(by default) positivity; a failure raises ``FloatingPointError``.
+once for finite entries, Hermiticity, unit trace and (by default)
+positivity; a failure raises ``FloatingPointError``.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +55,7 @@ __all__ = [
     "LindbladChannel",
     "Segment",
     "population",
+    "population_vector",
     "coherence",
     "apply_unitary",
     "liouvillian",
@@ -60,6 +71,11 @@ POSITIVITY_TOL = 1e-8
 # 1e-8 on the standard presets (RK4 phase error per unit time scales as
 # omega^5 * dt^4 / 120, and the slowest drives run at ~12.6 rad/us).
 DEFAULT_DT_MAX = 1e-3
+
+# Largest h * max(||H||inf, ||D||inf) of an RK4 step; D is the dissipator
+# superoperator. It keeps the per-step phase and decay small (RK4 is stable
+# for real decay rates up to 2.78 / h).
+STEP_NORM_PRODUCT = 0.04
 
 
 def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -85,7 +101,7 @@ def matrices_close(a, b, tol: float) -> bool:
 def hermiticity_defect(m) -> float:
     """Max elementwise deviation |m - m^dagger|."""
     a = np.asarray(m, dtype=complex)
-    return float(np.max(np.abs(a - a.conj().T)))
+    return float(np.abs(a - a.conj().T).max())
 
 
 def require_hermitian(m, tol: float = HERMITICITY_TOL, name: str = "matrix") -> None:
@@ -239,6 +255,18 @@ def population(rho: DensityMatrix, label: str) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+def population_vector(rho: DensityMatrix) -> np.ndarray:
+    """All populations in basis order, checked and clamped as ``population``."""
+    p = rho.matrix.diagonal().real
+    bad = (p < -POSITIVITY_TOL) | (p > 1.0 + POSITIVITY_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"population of {rho.basis_labels[i]!r} is {p[i]}, outside tolerance"
+        )
+    return np.clip(p, 0.0, 1.0)
+
+
 def coherence(rho: DensityMatrix, label_a: str, label_b: str) -> complex:
     """Off-diagonal matrix element <a|rho|b>."""
     if label_a == label_b:
@@ -278,6 +306,12 @@ def dissipator_superop(channels: tuple) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=128)
+def dissipator_norm(channels: tuple) -> float:
+    """Infinity norm of ``dissipator_superop(channels)``; 0 without channels."""
+    return float(np.linalg.norm(dissipator_superop(channels), np.inf)) if channels else 0.0
+
+
 def liouvillian(hamiltonian, channels) -> np.ndarray:
     """Superoperator M with vec(drho/dt) = M vec(rho), row-major vec."""
     h = as_square_matrix(hamiltonian, "hamiltonian")
@@ -306,11 +340,13 @@ def rk4_map(m: np.ndarray, dt: float) -> np.ndarray:
     degree-4 Taylor polynomial of exp(dt*M).
     """
     hm = dt * m
-    r = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    for k in (1, 2, 3, 4):
-        term = term @ hm / k
-        r = r + term
+    r = np.eye(m.shape[0], dtype=hm.dtype)
+    r += hm
+    term = hm
+    for k in (2, 3, 4):
+        term = term @ hm
+        term /= k
+        r += term
     return r
 
 
@@ -325,6 +361,13 @@ def _power_apply(r: np.ndarray, n: int, vec: np.ndarray) -> np.ndarray:
         if n:
             base = base @ base
     return result
+
+
+def _nonzero_pattern(m: np.ndarray) -> bytes:
+    """``(m != 0).tobytes()`` for a complex matrix, compared as float pairs
+    (comparing complex numbers is several times slower)."""
+    parts = np.ascontiguousarray(m, dtype=complex).view(np.float64) != 0
+    return (parts.view(np.uint16) != 0).tobytes()
 
 
 @functools.lru_cache(maxsize=256)
@@ -348,6 +391,87 @@ def _invariant_subspace(pattern: bytes, support: bytes) -> tuple[np.ndarray, tup
     return idx, np.ix_(idx, idx)
 
 
+class _RealCoordinates(NamedTuple):
+    """Index maps between complex vec(rho) entries and real coordinates.
+
+    Every array indexes a float64 view, in which entry k of a complex array
+    is floats 2k (real part) and 2k + 1 (imaginary part).
+    """
+
+    gather: np.ndarray  # x = vec_f[gather]
+    gen_a: np.ndarray  # generator = m_f[gen_a] * sign_a + m_f[gen_b] * sign_b
+    sign_a: np.ndarray
+    gen_b: np.ndarray
+    sign_b: np.ndarray
+    scatter_to: np.ndarray  # vec_f[scatter_to] = x[scatter_from] * scatter_sign
+    scatter_from: np.ndarray
+    scatter_sign: np.ndarray
+
+    def coordinates(self, vec: np.ndarray) -> np.ndarray:
+        return vec.view(np.float64)[self.gather]
+
+    def generator(self, m: np.ndarray) -> np.ndarray:
+        mf = np.ascontiguousarray(m, dtype=complex).view(np.float64).reshape(-1)
+        return mf[self.gen_a] * self.sign_a + mf[self.gen_b] * self.sign_b
+
+    def state(self, x: np.ndarray, dim: int) -> np.ndarray:
+        """The Hermitian vec(rho) with these coordinates (zero elsewhere)."""
+        v = np.zeros(dim * dim, dtype=complex)
+        v.view(np.float64)[self.scatter_to] = x[self.scatter_from] * self.scatter_sign
+        return v
+
+
+@functools.lru_cache(maxsize=256)
+def _real_coordinates(entries: bytes, dim: int) -> _RealCoordinates:
+    """Real coordinates of Hermitian states on a set of vec(rho) entries.
+
+    ``entries`` is an index array from ``_invariant_subspace`` as bytes; the
+    set is first closed under (i, j) -> (j, i), which keeps it invariant
+    because M maps Hermitian matrices to Hermitian matrices. The coordinates
+    are Re rho_ii, then Re rho_ij and Im rho_ij for i < j (Havel, J. Math.
+    Phys. 44, 534 (2003)). The generator in them is real, and its RK4 map
+    is the complex one restricted to Hermitian states.
+    """
+    rows, cols = np.divmod(np.frombuffer(entries, dtype=np.intp), dim)
+    pairs = set(zip(np.minimum(rows, cols).tolist(), np.maximum(rows, cols).tolist()))
+    diag = sorted(i for i, j in pairs if i == j)
+    upper = sorted((i, j) for i, j in pairs if i < j)
+    d_pos = np.array([i * dim + i for i in diag], dtype=np.intp)
+    u_pos = np.array([i * dim + j for i, j in upper], dtype=np.intp)
+    l_pos = np.array([j * dim + i for i, j in upper], dtype=np.intp)
+    nd, nu = len(diag), len(upper)
+
+    # coordinate k is part part[k] (0 real, 1 imaginary) of entry pos[k]
+    pos = np.concatenate([d_pos, u_pos, u_pos])
+    part = np.repeat([0, 0, 1], [nd, nu, nu])
+    gather = 2 * pos + part
+
+    # The state of unit coordinate b is 1 at entry e1[b] for Re rho_ii; 1 at
+    # ij and ji for Re rho_ij; i at ij and -i at ji for Im rho_ij. Generator
+    # entry (a, b) is part part[a] of M[pos[a], :] applied to that state. A
+    # factor +-i swaps which part of M is read: Re(iz) = -Im z, Im(iz) = Re z.
+    e1 = np.concatenate([d_pos, u_pos, u_pos])[None, :]
+    e2 = np.concatenate([d_pos, l_pos, l_pos])[None, :]
+    has_e2 = np.repeat([0.0, 1.0, 1.0], [nd, nu, nu])[None, :]
+    rotated = np.repeat([False, False, True], [nd, nu, nu])[None, :]
+    row_part = part[:, None]
+    read = np.where(rotated, 1 - row_part, row_part)
+    row = 2 * dim * dim * pos[:, None]
+    gen_a = row + 2 * e1 + read
+    gen_b = row + 2 * e2 + read
+    sign_a = np.where(rotated & (row_part == 0), -1.0, 1.0)
+    sign_b = np.where(rotated & (row_part == 1), -1.0, 1.0) * has_e2
+
+    scatter_to = np.concatenate([2 * d_pos, 2 * u_pos, 2 * u_pos + 1, 2 * l_pos, 2 * l_pos + 1])
+    re, im = np.arange(nd, nd + nu), np.arange(nd + nu, nd + 2 * nu)
+    scatter_from = np.concatenate([np.arange(nd), re, im, re, im])
+    scatter_sign = np.repeat([1.0, 1.0, 1.0, 1.0, -1.0], [nd, nu, nu, nu, nu])
+    arrays = (gather, gen_a, sign_a, gen_b, sign_b, scatter_to, scatter_from, scatter_sign)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return _RealCoordinates(*arrays)
+
+
 def evolve(
     rho0: DensityMatrix,
     segments,
@@ -361,10 +485,10 @@ def evolve(
     drho/dt = -i[H, rho] + sum_k (L_k rho L_k^dag - 1/2 {L_k^dag L_k, rho})
 
     Each segment is subdivided into fixed RK4 steps of size <= ``dt_max``
-    and propagated in its invariant subspace (see the module docstring).
-    The returned trajectory always includes the initial state and every
-    segment boundary; ``sample_dt`` adds interior samples at roughly that
-    spacing. The trace is never renormalized.
+    and propagated in real coordinates on its invariant subspace (see the
+    module docstring). The returned trajectory always includes the initial
+    state and every segment boundary; ``sample_dt`` adds interior samples
+    at roughly that spacing. The trace is never renormalized.
 
     Raises ``ValueError`` on dimension mismatches and ``FloatingPointError``
     when a returned state is not finite, not Hermitian, has lost its trace
@@ -378,16 +502,16 @@ def evolve(
     for ch in channels:
         if ch.dim != dim:
             raise ValueError(f"channel dim {ch.dim} != state dim {dim}")
+    dissipation = dissipator_norm(channels)
 
     trajectory: list[tuple[float, DensityMatrix]] = [(0.0, rho0)]
-    vec = rho0.matrix.reshape(-1)
+    vec = np.ascontiguousarray(rho0.matrix.reshape(-1), dtype=complex)
     t = 0.0
 
-    def emit(time: float, idx: np.ndarray, sub: np.ndarray) -> np.ndarray:
-        if not np.isfinite(sub).all():
+    def emit(time: float, coords: _RealCoordinates, x: np.ndarray) -> np.ndarray:
+        if not np.isfinite(x).all():
             raise FloatingPointError(f"NaN/Inf in state at t = {time:.6g} us")
-        v = np.zeros(dim * dim, dtype=complex)
-        v[idx] = sub
+        v = coords.state(x, dim)
         v.setflags(write=False)
         m = v.reshape(dim, dim)
         if hermiticity_defect(m) > HERMITICITY_TOL:
@@ -405,21 +529,22 @@ def evolve(
         if seg.duration == 0.0:
             trajectory.append((t, trajectory[-1][1]))
             continue
-        # Stiff segments (e.g. a strong pair interaction) get finer steps than
-        # dt_max so the per-step phase omega*h stays small; the step bound
-        # requested by the caller is still honored.
-        omega_scale = float(np.linalg.norm(seg.hamiltonian, np.inf))
-        h_cap = dt_max if omega_scale == 0.0 else min(dt_max, 0.04 / omega_scale)
+        # Stiff segments (a strong pair interaction, a fast decay) get finer
+        # steps than dt_max, so that h*||H||inf and h*||D||inf stay small and
+        # RK4 stays stable; the step bound requested by the caller still holds.
+        rate = max(float(np.abs(seg.hamiltonian).sum(axis=1).max()), dissipation)
+        h_cap = dt_max if rate == 0.0 else min(dt_max, STEP_NORM_PRODUCT / rate)
         n_steps = max(1, math.ceil(seg.duration / h_cap))
         h = seg.duration / n_steps
         m = liouvillian(seg.hamiltonian, channels)
-        idx, block = _invariant_subspace((m != 0).tobytes(), (vec != 0).tobytes())
-        step = rk4_map(m[block], h)
-        sub = vec[idx]
+        idx, _ = _invariant_subspace(_nonzero_pattern(m), (vec != 0).tobytes())
+        coords = _real_coordinates(np.asarray(idx, dtype=np.intp).tobytes(), dim)
+        step = rk4_map(coords.generator(m), h)
+        x = coords.coordinates(vec)
         if sample_dt is None:
-            sub = _power_apply(step, n_steps, sub)
+            x = _power_apply(step, n_steps, x)
             t += seg.duration
-            vec = emit(t, idx, sub)
+            vec = emit(t, coords, x)
         else:
             chunk = max(1, round(sample_dt / h))
             done = 0
@@ -429,10 +554,10 @@ def evolve(
                 if k == chunk:
                     if chunk_map is None:
                         chunk_map = np.linalg.matrix_power(step, chunk)
-                    sub = chunk_map @ sub
+                    x = chunk_map @ x
                 else:
-                    sub = _power_apply(step, k, sub)
+                    x = _power_apply(step, k, x)
                 done += k
-                vec = emit(t + done * h, idx, sub)
+                vec = emit(t + done * h, coords, x)
             t += seg.duration
     return trajectory

@@ -439,7 +439,12 @@ class DerivedScalar:
     note: str = ""
 
 
-def _scalar(name, value, rule, target, passed, note="") -> DerivedScalar:
+def _scalar(name, value, rule, target, passed, note="", fit=None) -> DerivedScalar:
+    """A derived scalar; one read from a ``fit`` that did not converge cannot pass."""
+    if fit is not None and not fit.converged:
+        if passed is not None:
+            passed = False
+        note = f"{note}; fit did not converge" if note else "fit did not converge"
     return DerivedScalar(name, float(value), rule, target, passed, note)
 
 
@@ -458,6 +463,7 @@ def _analyze_rabi(cfg: ExperimentConfig, res: EnsembleResult) -> list[DerivedSca
             "rabi-frequency",
             f"{rabi_set} MHz within 5%",
             _within(fit.params["frequency_mhz"], rabi_set, 0.05),
+            fit=fit,
         )
     ]
     tau = fit.params["tau_us"]
@@ -465,7 +471,7 @@ def _analyze_rabi(cfg: ExperimentConfig, res: EnsembleResult) -> list[DerivedSca
         out.append(
             _scalar("coherence_time_us", math.inf, "rabi-coherence-time",
                     "20-35 us under the full noise model", None,
-                    note="no decay detected")
+                    note="no decay detected", fit=fit)
         )
     else:
         full_noise = cfg.doppler and cfg.scattering and cfg.blackbody
@@ -474,6 +480,7 @@ def _analyze_rabi(cfg: ExperimentConfig, res: EnsembleResult) -> list[DerivedSca
                 "coherence_time_us", tau, "rabi-coherence-time",
                 "20-35 us under the full noise model",
                 (20.0 <= tau <= 35.0) if full_noise else None,
+                fit=fit,
             )
         )
     return out
@@ -487,6 +494,7 @@ def _analyze_t1(cfg: ExperimentConfig, res: EnsembleResult) -> list[DerivedScala
             "t1_lifetime_us", fit.params["tau_us"], "t1-lifetime",
             f"{target} us within 10%",
             _within(fit.params["tau_us"], target, 0.10) if math.isfinite(fit.params["tau_us"]) else False,
+            fit=fit,
         )
     ]
 
@@ -501,10 +509,11 @@ def _analyze_ramsey(cfg: ExperimentConfig, res: EnsembleResult) -> list[DerivedS
             "t2_star_us", tau, "ramsey-t2star",
             f"sqrt(2)/sigma = {target:.2f} us within 10%",
             _within(tau, target, 0.10) if math.isfinite(tau) else False,
+            fit=fit,
         ),
         _scalar(
             "fringe_frequency_mhz", fit.params["frequency_mhz"], "ramsey-fringe",
-            "as configured", None,
+            "as configured", None, fit=fit,
         ),
     ]
 
@@ -521,7 +530,7 @@ def _analyze_spin_echo(cfg: ExperimentConfig, res: EnsembleResult) -> list[Deriv
         target = "32 us within 20% at gamma_laser = 1/(2*47 us)"
     else:
         passed, target = None, "informational at this gamma_laser"
-    return [_scalar("t2_echo_us", tau, "spin-echo-t2", target, passed)]
+    return [_scalar("t2_echo_us", tau, "spin-echo-t2", target, passed, fit=fit)]
 
 
 def _analyze_phase_gate(cfg: ExperimentConfig, res: EnsembleResult) -> list[DerivedScalar]:
@@ -534,10 +543,11 @@ def _analyze_phase_gate(cfg: ExperimentConfig, res: EnsembleResult) -> list[Deri
             "phase_gate_frequency_mhz", fit.params["frequency_mhz"],
             "phase-gate-frequency", f"{shift} MHz within 5%",
             _within(fit.params["frequency_mhz"], shift, 0.05),
+            fit=fit,
         ),
         _scalar(
             "phase_gate_contrast", 2.0 * abs(fit.params["amplitude"]),
-            "phase-gate-contrast", "near the detection limit", None,
+            "phase-gate-contrast", "near the detection limit", None, fit=fit,
         ),
     ]
 
@@ -552,6 +562,7 @@ def _analyze_blockade(cfg: ExperimentConfig, res: EnsembleResult) -> list[Derive
             "collective_frequency_mhz", fit.params["frequency_mhz"],
             "blockade-enhancement", f"sqrt(2)*{rabi_set} = {target:.4f} MHz within 1%",
             _within(fit.params["frequency_mhz"], target, 0.01),
+            fit=fit,
         ),
         _scalar(
             "max_p_rr", max_prr, "blockade-leakage",
@@ -594,18 +605,18 @@ def _analyze_parity(cfg: ExperimentConfig, res: EnsembleResult) -> list[DerivedS
     record = BellRecord.from_measured(diag_sum, min(contrast, diag_sum))
     out = [
         _scalar("parity_contrast", contrast, "parity-contrast",
-                "2*|rho_gr,rg| as measured", None),
+                "2*|rho_gr,rg| as measured", None, fit=fit),
         _scalar("bell_diag_sum", diag_sum, "bell-populations",
                 "single-excitation population sum", None),
         _scalar("bell_fidelity", record.fidelity, "bell-fidelity",
-                "(diag + contrast)/2", None),
+                "(diag + contrast)/2", None, fit=fit),
     ]
     if cfg.detection is not None:
         corrected = detection_corrected_fidelity(record.fidelity, cfg.detection,
                                                  delta_mhz=shift)
         out.append(
             _scalar("bell_fidelity_corrected", corrected, "bell-fidelity-corrected",
-                    "measured fidelity / detection ceiling", None)
+                    "measured fidelity / detection ceiling", None, fit=fit)
         )
     return out
 
@@ -616,7 +627,7 @@ def _analyze_w_lifetime(cfg: ExperimentConfig, res: EnsembleResult) -> list[Deri
     return [
         _scalar(
             "w_lifetime_us", fit.params["tau_us"], "w-lifetime",
-            f"Doppler-limited, ~1/sigma = {1.0 / sigma:.1f} us", None,
+            f"Doppler-limited, ~1/sigma = {1.0 / sigma:.1f} us", None, fit=fit,
         )
     ]
 
@@ -630,6 +641,7 @@ def _analyze_w_echo(cfg: ExperimentConfig, res: EnsembleResult) -> list[DerivedS
             "w_echo_lifetime_us", tau, "w-echo-lifetime",
             "40-60 us (model-limited)",
             (40.0 <= tau <= 60.0) if (full_noise and math.isfinite(tau)) else None,
+            fit=fit,
         )
     ]
 

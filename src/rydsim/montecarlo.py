@@ -1,27 +1,34 @@
 """Monte Carlo ensembles over Doppler and position noise.
 
 Each shot draws a static per-atom Doppler detuning and position offset,
-compiles the sequence against that draw, integrates the master equation,
-and pushes the final populations through the detection channel. Shots are
-seeded individually from (master_seed, scan_index, shot_index) with a
-stable hash, so results are bit-identical regardless of execution order or
-worker count.
+compiles the scan point's sequence against that draw, integrates the
+master equation, and pushes the final populations through the detection
+channel. Shots are seeded individually from (master_seed, scan_index,
+shot_index) with a stable hash, so results are bit-identical regardless of
+execution order or worker count.
+
+Detection is a confusion matrix from basis states to measured recapture
+patterns: the Kronecker product of per-atom 2x3 matrices, cached per
+(levels, f_g, f_r). A shot's detected distribution is that matrix times
+its populations; ``apply_detection`` applies the same matrix to a labeled
+distribution.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .atoms import DetectionModel, PERFECT_DETECTION, detection_probabilities, doppler_sigma
-from .dynamics import DEFAULT_DT_MAX
+from .atoms import DetectionModel, PERFECT_DETECTION, doppler_sigma
+from .dynamics import DEFAULT_DT_MAX, population_vector
 from .pulses import (
+    SINGLE_ATOM_LEVELS,
     NoiseSample,
     PulseSequence,
     SystemModel,
@@ -82,37 +89,65 @@ def apply_detection(
     ``d=None`` means perfect detection (r' still reads as r since it is
     anti-trapped).
     """
-    if d is None:
-        d = PERFECT_DETECTION
-    total = sum(probabilities.values())
+    p = np.array(list(probabilities.values()), dtype=float)
+    _check_distribution(p)
+    try:
+        levels = tuple(_LEVELS_BY_LABEL[label] for label in probabilities)
+    except KeyError as exc:
+        raise ValueError(f"malformed label {exc.args[0]!r}") from None
+    n_atoms = len(levels[0])
+    if any(len(t) != n_atoms for t in levels):
+        raise ValueError("labels mix different numbers of atoms")
+    c = _detection_matrix(levels, PERFECT_DETECTION if d is None else d, trap_off_time_us)
+    return dict(zip(measured_outcomes(n_atoms), (c @ p).tolist()))
+
+
+# composite label -> per-atom levels, e.g. "gr'" -> ("g", "r'")
+_LEVELS_BY_LABEL = {
+    "".join(t): t
+    for n in (1, 2)
+    for t in itertools.product(SINGLE_ATOM_LEVELS, repeat=n)
+}
+
+
+def _check_distribution(p: np.ndarray) -> None:
+    total = p.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"input distribution sums to {total}, not 1")
 
-    label_keys = list(probabilities)
-    n_atoms = len(_split_levels(label_keys[0]))
-    outcomes = measured_outcomes(n_atoms)
-    out = dict.fromkeys(outcomes, 0.0)
-    for label, prob in probabilities.items():
-        if prob == 0.0:
-            continue
-        levels = _split_levels(label)
-        for pattern, p_pattern in detection_probabilities(d, levels, trap_off_time_us).items():
-            measured = "".join("g" if recaptured else "r" for recaptured in pattern)
-            out[measured] += prob * p_pattern
-    return out
+
+def _detection_matrix(
+    level_tuples: tuple[tuple[str, ...], ...],
+    d: DetectionModel,
+    trap_off_time_us: float,
+) -> np.ndarray:
+    """Confusion matrix from basis states to measured recapture patterns.
+
+    Column j is the distribution over ``measured_outcomes`` of basis state
+    ``level_tuples[j]``. Raises ``ValueError`` when a tabulated f_g does not
+    cover the trap-off time.
+    """
+    return _confusion_matrix(level_tuples, d.fg_at(trap_off_time_us), d.f_r)
 
 
-def _split_levels(label: str) -> tuple[str, ...]:
-    """Split a composite label like "gr'" into per-atom levels ("g", "r'")."""
-    levels: list[str] = []
-    for ch in label:
-        if ch == "'":
-            if not levels:
-                raise ValueError(f"malformed label {label!r}")
-            levels[-1] += "'"
-        else:
-            levels.append(ch)
-    return tuple(levels)
+@functools.lru_cache(maxsize=256)
+def _confusion_matrix(
+    level_tuples: tuple[tuple[str, ...], ...], f_g: float, f_r: float
+) -> np.ndarray:
+    # Kronecker product of the per-atom 2x3 matrices whose rows are
+    # (recaptured, lost) and whose columns are (g, r, r'), restricted to
+    # the columns of the basis states the system keeps
+    n_atoms = len(level_tuples[0])
+    per_atom = np.array([[f_g, 1.0 - f_r, 1.0 - f_r], [1.0 - f_g, f_r, f_r]])
+    full = functools.reduce(np.kron, [per_atom] * n_atoms)
+    position = {lvl: i for i, lvl in enumerate(SINGLE_ATOM_LEVELS)}
+    columns = [
+        sum(position[lvl] * 3 ** (n_atoms - 1 - k) for k, lvl in enumerate(t))
+        for t in level_tuples
+    ]
+    c = np.ascontiguousarray(full[:, columns])
+    c.setflags(write=False)
+    return c
 
 
 @dataclass(frozen=True)
@@ -179,37 +214,38 @@ def wilson_interval(p_hat: float, n: int, z: float = 1.0) -> tuple[float, float]
 def _run_scan_point(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     (spec, value, scan_index, n_shots, mode, master_seed) = args
     system = spec.system
-    outcomes = measured_outcomes(system.n_atoms)
+    levels = system.level_tuples
+    n_outcomes = 2 ** system.n_atoms
     sigma_d = spec.doppler_width()
     rho0 = system.initial_state()
+    seq = spec.build(value)
 
-    shots = np.empty((n_shots, len(outcomes)))
-    raw_sum = np.zeros(len(outcomes))
-    counts = np.zeros(len(outcomes))
+    shots = np.empty((n_shots, n_outcomes))
+    raw_sum = np.zeros(n_outcomes)
+    counts = np.zeros(n_outcomes)
     duration = 0.0
     for shot in range(n_shots):
         rng = np.random.Generator(
             np.random.PCG64(shot_seed(master_seed, scan_index, shot))
         )
         noise = sample_noise(sigma_d, spec.sigma_position_um, system.n_atoms, rng)
-        seq = spec.build(value)
         compiled = compile_sequence(seq, system, noise, ideal_pulses=spec.ideal_pulses)
         duration = compiled.total_duration
         rho = run_compiled(compiled, rho0, dt_max=spec.dt_max)
-        populations = rho.populations()
-        raw = apply_detection(populations, PERFECT_DETECTION, duration)
-        raw_sum += np.array([raw[o] for o in outcomes])
+        populations = population_vector(rho)
+        _check_distribution(populations)
+        raw = _detection_matrix(levels, PERFECT_DETECTION, duration) @ populations
+        raw_sum += raw
         if spec.detection is None:
-            detected = raw
+            vec = raw
         else:
-            detected = apply_detection(populations, spec.detection, duration)
-        vec = np.array([detected[o] for o in outcomes])
+            vec = _detection_matrix(levels, spec.detection, duration) @ populations
         # tiny negatives can appear at the populations' clamp boundary
         vec = np.clip(vec, 0.0, None)
-        vec = vec / vec.sum()
+        vec /= vec.sum()
         shots[shot] = vec
         if mode == "sampled":
-            drawn = rng.choice(len(outcomes), p=vec)
+            drawn = rng.choice(n_outcomes, p=vec)
             counts[drawn] += 1.0
     if mode == "sampled":
         probs = counts / n_shots
@@ -245,6 +281,10 @@ def run_ensemble(
         (spec, float(v), i, n_shots, mode, master_seed) for i, v in enumerate(values)
     ]
     if n_workers > 1 and len(tasks) > 1:
+        # imported here: loading the pool machinery costs every run time and
+        # memory, and most runs use one worker
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_run_scan_point, tasks))
     else:

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import difflib
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,17 +186,11 @@ class SystemModel:
 
     @property
     def level_tuples(self) -> tuple[tuple[str, ...], ...]:
-        if self.n_atoms == 1:
-            return tuple((lvl,) for lvl in SINGLE_ATOM_LEVELS)
-        if self.blockade_model == "projected":
-            return (("g", "g"), ("g", "r"), ("r", "g"))
-        return tuple(
-            (a, b) for a in SINGLE_ATOM_LEVELS for b in SINGLE_ATOM_LEVELS
-        )
+        return self._operators.level_tuples
 
     @property
     def basis_labels(self) -> tuple[str, ...]:
-        return tuple("".join(t) for t in self.level_tuples)
+        return self._operators.labels
 
     @property
     def dim(self) -> int:
@@ -204,41 +200,45 @@ class SystemModel:
         return DensityMatrix.pure("g" * self.n_atoms, self.basis_labels)
 
     def nominal_positions(self) -> tuple[float, ...]:
-        if self.n_atoms == 1:
-            return (0.0,)
-        return self.two_atom.positions_um
+        return self._operators.nominal_positions
 
     def wavevector(self) -> float:
-        if self.n_atoms == 2 and self.two_atom.k_eff_rad_per_um is not None:
-            return self.two_atom.k_eff_rad_per_um
-        return effective_wavevector(self.atom)
+        return self._operators.wavevector
+
+    @functools.cached_property
+    def _operators(self) -> "_OperatorTable":
+        # built on first use and kept on the instance, so compiling a shot
+        # neither rebuilds operators nor hashes the whole model
+        return _OperatorTable.build(self)
 
     # -- operator construction over the labeled basis ---------------------
 
     def level_operator(self, atom: int, frm: str, to: str) -> np.ndarray:
         """|to><frm| on one atom, zero where the target state is projected out."""
-        return _level_operator(self, atom, frm, to)
+        try:
+            return self._operators.level_ops[atom, frm, to]
+        except KeyError:
+            raise ValueError(f"no level operator |{to}><{frm}| on atom {atom}") from None
 
     def projector(self, atom: int, level: str) -> np.ndarray:
-        return _level_operator(self, atom, level, level)
+        return self.level_operator(atom, level, level)
 
     def double_excitation_projector(self) -> np.ndarray:
-        return _double_excitation_projector(self)
+        return self._operators.double_excitation
 
     # -- Hamiltonian pieces ------------------------------------------------
 
     def free_hamiltonian(self, noise: NoiseSample, detuning_mhz: float = 0.0) -> np.ndarray:
         """Detuning and interaction terms present in every element."""
+        ops = self._operators
         h = np.zeros((self.dim, self.dim), dtype=complex)
-        for atom in range(self.n_atoms):
+        for atom, proj in enumerate(ops.r_projectors):
             delta = krad_s_to_angular(noise.doppler_krad_s[atom]) + mhz_to_angular(
                 detuning_mhz
             )
-            h -= delta * self.projector(atom, "r")
-        if self.n_atoms == 2:
-            h += mhz_to_angular(self.two_atom.interaction_u_mhz) * (
-                self.double_excitation_projector()
-            )
+            h -= delta * proj
+        if ops.interaction is not None:
+            h += ops.interaction
         return h
 
     def drive_hamiltonian(
@@ -249,16 +249,14 @@ class SystemModel:
         ``include_doppler=False`` drops the Doppler detunings but keeps the
         static position phases (the idealized fast-pulse limit).
         """
-        k = self.wavevector()
-        nominal = self.nominal_positions()
+        ops = self._operators
         omega = mhz_to_angular(element.rabi_mhz)
         doppler = noise if include_doppler else zero_noise(self.n_atoms)
         h = self.free_hamiltonian(doppler, element.detuning_mhz)
-        positions = [nominal[i] + noise.position_um[i] for i in range(self.n_atoms)]
-        for atom in range(self.n_atoms):
-            phase = k * positions[atom] + element.phase
+        for atom, raising in enumerate(ops.raising):
+            position = ops.nominal_positions[atom] + noise.position_um[atom]
+            phase = ops.wavevector * position + element.phase
             coupling = 0.5 * omega * np.exp(1j * phase)
-            raising = self.level_operator(atom, "g", "r")
             h = h + coupling * raising + np.conj(coupling) * raising.conj().T
         return h
 
@@ -277,63 +275,102 @@ class SystemModel:
     def channels(self, drive_on: bool) -> tuple[LindbladChannel, ...]:
         """Jump operators active during an element (blue scattering is
         gated on the drive; everything else runs for the whole sequence)."""
-        return _channels(self, drive_on)
+        ops = self._operators
+        return ops.channels_drive if drive_on else ops.channels_idle
 
 
-@functools.lru_cache(maxsize=512)
-def _level_operator(system: SystemModel, atom: int, frm: str, to: str) -> np.ndarray:
-    levels = system.level_tuples
-    index = {t: i for i, t in enumerate(levels)}
-    op = np.zeros((system.dim, system.dim), dtype=complex)
-    for i, t in enumerate(levels):
-        if t[atom] != frm:
-            continue
-        target = t[:atom] + (to,) + t[atom + 1 :]
-        j = index.get(target)
-        if j is not None:
-            op[j, i] = 1.0
-    op.setflags(write=False)
-    return op
+class _OperatorTable(NamedTuple):
+    """Everything compiling a shot needs from a SystemModel besides the noise."""
+
+    level_tuples: tuple[tuple[str, ...], ...]
+    labels: tuple[str, ...]
+    level_ops: dict  # (atom, from level, to level) -> read-only |to><from|
+    r_projectors: tuple[np.ndarray, ...]  # per atom
+    raising: tuple[np.ndarray, ...]  # per atom, |r><g|
+    double_excitation: np.ndarray
+    interaction: np.ndarray | None  # U * P_rr in rad/us, two atoms only
+    channels_drive: tuple[LindbladChannel, ...]
+    channels_idle: tuple[LindbladChannel, ...]
+    wavevector: float
+    nominal_positions: tuple[float, ...]
+
+    @classmethod
+    def build(cls, system: SystemModel) -> "_OperatorTable":
+        n = system.n_atoms
+        if n == 1:
+            levels = tuple((lvl,) for lvl in SINGLE_ATOM_LEVELS)
+        elif system.blockade_model == "projected":
+            levels = (("g", "g"), ("g", "r"), ("r", "g"))
+        else:
+            levels = tuple(itertools.product(SINGLE_ATOM_LEVELS, repeat=2))
+        index = {t: i for i, t in enumerate(levels)}
+        dim = len(levels)
+
+        ops = {}
+        for atom, frm, to in itertools.product(range(n), SINGLE_ATOM_LEVELS, SINGLE_ATOM_LEVELS):
+            op = np.zeros((dim, dim), dtype=complex)
+            for i, t in enumerate(levels):
+                if t[atom] != frm:
+                    continue
+                j = index.get(t[:atom] + (to,) + t[atom + 1 :])
+                if j is not None:
+                    op[j, i] = 1.0
+            op.setflags(write=False)
+            ops[atom, frm, to] = op
+
+        double = np.zeros((dim, dim), dtype=complex)
+        for i, t in enumerate(levels):
+            if all(lvl == "r" for lvl in t):
+                double[i, i] = 1.0
+        double.setflags(write=False)
+        interaction = None
+        if n == 2:
+            interaction = mhz_to_angular(system.two_atom.interaction_u_mhz) * double
+            interaction.setflags(write=False)
+
+        if n == 2 and system.two_atom.k_eff_rad_per_um is not None:
+            wavevector = system.two_atom.k_eff_rad_per_um
+        else:
+            wavevector = effective_wavevector(system.atom)
+        return cls(
+            level_tuples=levels,
+            labels=tuple("".join(t) for t in levels),
+            level_ops=ops,
+            r_projectors=tuple(ops[atom, "r", "r"] for atom in range(n)),
+            raising=tuple(ops[atom, "g", "r"] for atom in range(n)),
+            double_excitation=double,
+            interaction=interaction,
+            channels_drive=_channels(system, ops, drive_on=True),
+            channels_idle=_channels(system, ops, drive_on=False),
+            wavevector=wavevector,
+            nominal_positions=(0.0,) if n == 1 else system.two_atom.positions_um,
+        )
 
 
-@functools.lru_cache(maxsize=64)
-def _double_excitation_projector(system: SystemModel) -> np.ndarray:
-    op = np.zeros((system.dim, system.dim), dtype=complex)
-    for i, t in enumerate(system.level_tuples):
-        if all(lvl == "r" for lvl in t):
-            op[i, i] = 1.0
-    op.setflags(write=False)
-    return op
-
-
-@functools.lru_cache(maxsize=64)
-def _channels(system: SystemModel, drive_on: bool) -> tuple[LindbladChannel, ...]:
+def _channels(system: SystemModel, ops: dict, drive_on: bool) -> tuple[LindbladChannel, ...]:
     chans: list[LindbladChannel] = []
     for atom in range(system.n_atoms):
         if system.scattering:
             if drive_on and system.atom.gamma_blue_scatter > 0:
                 chans.append(
                     LindbladChannel.from_rate(
-                        system.atom.gamma_blue_scatter, system.projector(atom, "g")
+                        system.atom.gamma_blue_scatter, ops[atom, "g", "g"]
                     )
                 )
             if system.atom.gamma_red_scatter > 0:
                 chans.append(
                     LindbladChannel.from_rate(
-                        system.atom.gamma_red_scatter, system.level_operator(atom, "r", "g")
+                        system.atom.gamma_red_scatter, ops[atom, "r", "g"]
                     )
                 )
         if system.blackbody:
             chans.append(
                 LindbladChannel.from_rate(
-                    1.0 / rydberg_lifetime(system.atom),
-                    system.level_operator(atom, "r", "r'"),
+                    1.0 / rydberg_lifetime(system.atom), ops[atom, "r", "r'"]
                 )
             )
     if system.gamma_laser > 0:
-        collective = sum(
-            system.projector(atom, "r") for atom in range(system.n_atoms)
-        )
+        collective = sum(ops[atom, "r", "r"] for atom in range(system.n_atoms))
         chans.append(LindbladChannel.from_rate(2.0 * system.gamma_laser, collective))
     return tuple(chans)
 

@@ -17,11 +17,6 @@ def mhz_to_angular(f_mhz: float) -> float:
     return TWO_PI * f_mhz
 
 
-def angular_to_mhz(omega: float) -> float:
-    """Angular frequency in rad/us to ordinary frequency in MHz."""
-    return omega / TWO_PI
-
-
 def krad_s_to_angular(x: float) -> float:
     """Angular frequency in krad/s to rad/us."""
     return 1e-3 * x
@@ -31,7 +26,3 @@ def angular_to_krad_s(x: float) -> float:
     """Angular frequency in rad/us to krad/s."""
     return 1e3 * x
 
-
-def krad_s_to_khz(x: float) -> float:
-    """Angular frequency in krad/s to ordinary frequency in kHz."""
-    return x / TWO_PI

@@ -224,6 +224,55 @@ class TestInvariantSubspace:
         assert sizes == {(kept, total)}
 
 
+def complex_full_space(system, compiled, sample_dt):
+    """The same states from the complex full-space RK4 map, powered by
+    ``matrix_power``: the reference for the real-coordinate propagation."""
+    vec = system.initial_state().matrix.reshape(-1)
+    states = []
+    for step in compiled.steps:
+        seg, channels = step.segment, tuple(step.channels)
+        rate = max(np.linalg.norm(seg.hamiltonian, np.inf), dynamics.dissipator_norm(channels))
+        n_steps = math.ceil(seg.duration / min(dynamics.DEFAULT_DT_MAX, dynamics.STEP_NORM_PRODUCT / rate))
+        h = seg.duration / n_steps
+        r = dynamics.rk4_map(liouvillian(seg.hamiltonian, channels), h)
+        chunk = n_steps if sample_dt is None else max(1, round(sample_dt / h))
+        done = 0
+        while done < n_steps:
+            k = min(chunk, n_steps - done)
+            vec = np.linalg.matrix_power(r, k) @ vec
+            done += k
+            states.append(vec.reshape(system.dim, system.dim))
+    return np.array(states)
+
+
+class TestRealCoordinates:
+    @pytest.mark.parametrize("sample_dt", [None, 0.05])
+    @pytest.mark.parametrize("preset, value", [
+        ("spin_echo", 6.0), ("w_echo", 4.0), ("parity_scan", 0.2),
+    ])
+    def test_matches_complex_full_space(self, preset, value, sample_dt):
+        system, compiled = compiled_shot(preset, value, noise={"gamma_laser": 0.1})
+        real = TestInvariantSubspace.trajectory(system, compiled, sample_dt)
+        reference = complex_full_space(system, compiled, sample_dt)
+        assert real.shape == reference.shape
+        assert np.abs(real - reference).max() <= 1e-12
+
+    def test_generator_is_real_and_states_hermitian(self):
+        system, compiled = compiled_shot("w_echo", 4.0, noise={"gamma_laser": 0.1})
+        step = compiled.steps[0]
+        m = liouvillian(step.segment.hamiltonian, step.channels)
+        vec = system.initial_state().matrix.reshape(-1)
+        idx, _ = dynamics._invariant_subspace((m != 0).tobytes(), (vec != 0).tobytes())
+        coords = dynamics._real_coordinates(idx.tobytes(), system.dim)
+        gen = coords.generator(m)
+        assert gen.dtype == np.float64 and gen.shape == (len(idx), len(idx))
+        x = coords.coordinates(vec)
+        # one Euler step in real coordinates is M vec read in real coordinates
+        np.testing.assert_allclose(coords.state(gen @ x, system.dim), m @ vec, atol=1e-14)
+        rho = coords.state(np.arange(len(idx), dtype=float), system.dim).reshape(9, 9)
+        np.testing.assert_array_equal(rho, rho.conj().T)
+
+
 class TestStateAccessors:
     def test_population_examples(self):
         assert population(DensityMatrix.pure("g", GR_BASIS), "g") == 1.0

@@ -1,16 +1,22 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
+from rydsim import dynamics
 from rydsim.cli import main
 from rydsim.experiments import (
+    _ANALYZERS,
     ConfigError,
     config_from_dict,
     list_presets,
+    load_config,
     preset_info,
     run_experiment,
 )
+from rydsim.montecarlo import EnsembleResult, measured_outcomes, run_ensemble
 
 QUICK_RABI = {
     "preset": "rabi",
@@ -240,8 +246,23 @@ class TestCli:
         config.write_text("preset: rabi\nshots: 5\n")
         assert main(["run", str(config)]) == 1
 
-    def test_numerical_blow_up_exits_2_without_traceback(self, tmp_path, capsys):
-        # the step cap ignores the dissipator, so RK4 goes unstable at this rate
+    def test_numerical_blow_up_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics, "rk4_map", lambda m, dt: np.full_like(m, np.nan))
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            "preset: rabi\n"
+            "n_shots: 1\n"
+            "n_workers: 1\n"
+            "scan: {start: 0.1, stop: 0.2, points: 2}\n"
+            f"output_dir: {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "Traceback" not in err
+
+    def test_strong_dephasing_converges(self, tmp_path):
+        # the step cap counts the dissipator, so RK4 stays stable at this rate
         config = tmp_path / "cfg.yaml"
         config.write_text(
             "preset: rabi\n"
@@ -251,13 +272,48 @@ class TestCli:
             "noise: {gamma_laser: 3000}\n"
             f"output_dir: {tmp_path / 'out'}\n"
         )
-        assert main(["run", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure:")
-        assert "Traceback" not in err
+        assert main(["run", str(config)]) == 0
+
+        spec = load_config(config).ensemble_spec()
+        cap = dynamics.STEP_NORM_PRODUCT / dynamics.dissipator_norm(spec.system.channels(True))
+        assert cap < spec.dt_max  # the dissipator sets the step
+        results = [
+            run_ensemble(dataclasses.replace(spec, dt_max=dt), [0.1, 0.2], 1).raw_probabilities
+            for dt in (spec.dt_max, cap / 2)
+        ]
+        assert np.all(np.isfinite(results[0]))
+        assert np.abs(results[0] - results[1]).max() < 1e-6
 
     def test_workers_env_validated(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RYDSIM_WORKERS", "not-a-number")
         config = tmp_path / "cfg.yaml"
         config.write_text("preset: rabi\nscan: {points: 2}\nn_shots: 1\n")
         assert main(["run", str(config)]) == 1
+
+
+def unfittable_result(cfg, shape):
+    """A scan whose column follows ``shape`` scaled so far up that the squared
+    residuals overflow: no fit of it can converge."""
+    t = cfg.scan_values()
+    outcomes = measured_outcomes(preset_info(cfg.preset).n_atoms)
+    column = 1e160 * shape(t)
+    probs = np.column_stack([column] * len(outcomes))
+    return EnsembleResult(t, outcomes, probs, probs, probs, np.zeros_like(probs),
+                          cfg.n_shots, cfg.mode, cfg.master_seed)
+
+
+class TestFitHealth:
+    # Each analyzer would otherwise read its start values as a passing scalar:
+    # the spectral-peak frequency, the scan span as the echo time, the
+    # configured light shift.
+    @pytest.mark.parametrize("preset, scalar, shape", [
+        ("rabi", "rabi_frequency_mhz", lambda t: np.cos(2 * np.pi * 2.0 * t)),
+        ("spin_echo", "t2_echo_us", lambda t: np.exp(-t / 50.0)),
+        ("phase_gate_echo", "phase_gate_frequency_mhz", lambda t: np.cos(2 * np.pi * 5.0 * t)),
+    ], ids=["damped_cosine", "decay", "cosine"])
+    def test_unconverged_fit_cannot_pass(self, preset, scalar, shape):
+        cfg = config_from_dict({"preset": preset})
+        with np.errstate(all="ignore"):
+            derived = {d.name: d for d in _ANALYZERS[preset](cfg, unfittable_result(cfg, shape))}
+        assert derived[scalar].passed is False
+        assert derived[scalar].note == "fit did not converge"

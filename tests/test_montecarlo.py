@@ -3,11 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from rydsim.atoms import AtomParams, DetectionModel, doppler_sigma
+from rydsim.atoms import (
+    DEFAULT_FG_TABLE,
+    PERFECT_DETECTION,
+    AtomParams,
+    DetectionModel,
+    detection_probabilities,
+    doppler_sigma,
+)
 from rydsim.blockade import TwoAtomParams
 from rydsim.fitting import fit_damped_cosine
 from rydsim.montecarlo import (
     EnsembleSpec,
+    _detection_matrix,
     apply_detection,
     measured_outcomes,
     run_ensemble,
@@ -91,6 +99,60 @@ class TestApplyDetection:
     def test_malformed_distribution_rejected(self):
         with pytest.raises(ValueError, match="sums"):
             apply_detection({"g": 0.5, "r": 0.2}, None)
+
+
+def label_parsing_detection(probabilities, d, trap_off_time_us):
+    """Detection by parsing each label and summing pattern probabilities."""
+    out = {}
+    for label, prob in probabilities.items():
+        levels = tuple(c + "'" if label[i + 1 : i + 2] == "'" else c
+                       for i, c in enumerate(label) if c != "'")
+        for pattern, p_pattern in detection_probabilities(d, levels, trap_off_time_us).items():
+            measured = "".join("g" if recaptured else "r" for recaptured in pattern)
+            out[measured] = out.get(measured, 0.0) + prob * p_pattern
+    return out
+
+
+TABLE_MODEL = DetectionModel(f_r=0.96, f_g=None, f_g_table=DEFAULT_FG_TABLE)
+
+
+class TestDetectionMatrix:
+    @pytest.mark.parametrize("system", [
+        SystemModel(atom=AtomParams(), n_atoms=1),
+        SystemModel(atom=AtomParams(), n_atoms=2),
+        SystemModel(atom=AtomParams(), n_atoms=2, blockade_model="projected", blackbody=False),
+    ], ids=["one_atom", "full", "projected"])
+    @pytest.mark.parametrize("model, times", [
+        (PERFECT_DETECTION, [0.0, 3.0]),
+        (DetectionModel(f_g=0.97, f_r=0.9), [0.0, 60.0]),
+        (TABLE_MODEL, [0.0, 2.5, 4.0, 6.0, 8.0]),
+    ], ids=["perfect", "fixed_fg", "table_fg"])
+    def test_matches_label_parsing(self, system, model, times):
+        rng = np.random.default_rng(2)
+        labels = system.basis_labels
+        for t in times:
+            c = _detection_matrix(system.level_tuples, model, t)
+            assert c.shape == (2 ** system.n_atoms, system.dim)
+            np.testing.assert_allclose(c.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+            for p in [np.eye(system.dim)[0], rng.dirichlet(np.ones(system.dim))]:
+                dist = dict(zip(labels, p))
+                ref = label_parsing_detection(dist, model, t)
+                by_matrix = dict(zip(measured_outcomes(system.n_atoms), c @ p))
+                by_function = apply_detection(dist, model, t)
+                for o in measured_outcomes(system.n_atoms):
+                    assert abs(by_matrix[o] - ref[o]) <= 1e-15
+                    assert abs(by_function[o] - ref[o]) <= 1e-15
+
+    def test_table_out_of_range_raises(self):
+        levels = SystemModel(atom=AtomParams(), n_atoms=2).level_tuples
+        with pytest.raises(ValueError, match="outside table range"):
+            _detection_matrix(levels, TABLE_MODEL, 8.5)
+        with pytest.raises(ValueError, match="outside table range"):
+            apply_detection({"gg": 1.0}, TABLE_MODEL, -0.1)
+
+    def test_malformed_label_rejected(self):
+        with pytest.raises(ValueError, match="malformed label"):
+            apply_detection({"gx": 1.0}, None)
 
 
 class TestWilson:

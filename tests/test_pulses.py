@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rydsim.atoms import AtomParams
+from rydsim.atoms import AtomParams, rydberg_lifetime
 from rydsim.blockade import TwoAtomParams
 from rydsim.dynamics import coherence, population
 from rydsim.pulses import (
@@ -205,3 +205,76 @@ class TestBlockadePhysics:
         # prep and readout share the same static positions, so the second pi
         # pulse fully de-excites the pair despite the random drive phases
         assert rho.population("gg") > 0.995
+
+
+def _reference_level_operator(levels, atom, frm, to):
+    """|to><frm| on one atom, built from the level tuples one entry at a time."""
+    op = np.zeros((len(levels), len(levels)), dtype=complex)
+    for i, t in enumerate(levels):
+        if t[atom] == frm and t[:atom] + (to,) + t[atom + 1 :] in levels:
+            op[levels.index(t[:atom] + (to,) + t[atom + 1 :]), i] = 1.0
+    return op
+
+
+@pytest.mark.parametrize("system", [
+    SystemModel(atom=AtomParams(), n_atoms=1, gamma_laser=0.1),
+    SystemModel(atom=AtomParams(), n_atoms=2, gamma_laser=0.1),
+    SystemModel(atom=AtomParams(), n_atoms=2, blockade_model="projected", blackbody=False),
+], ids=["one_atom", "full", "projected"])
+class TestOperatorTable:
+    def test_levels_and_labels(self, system):
+        levels = system.level_tuples
+        expected = {1: [("g",), ("r",), ("r'",)],
+                    2: [(a, b) for a in ("g", "r", "r'") for b in ("g", "r", "r'")]}
+        if system.blockade_model == "projected":
+            expected[2] = [("g", "g"), ("g", "r"), ("r", "g")]
+        assert list(levels) == expected[system.n_atoms]
+        assert system.basis_labels == tuple("".join(t) for t in levels)
+        assert system.dim == len(levels)
+
+    def test_level_operators_and_projectors(self, system):
+        levels = list(system.level_tuples)
+        for atom in range(system.n_atoms):
+            for frm in ("g", "r", "r'"):
+                for to in ("g", "r", "r'"):
+                    ref = _reference_level_operator(levels, atom, frm, to)
+                    np.testing.assert_array_equal(system.level_operator(atom, frm, to), ref)
+                np.testing.assert_array_equal(
+                    system.projector(atom, frm), _reference_level_operator(levels, atom, frm, frm)
+                )
+        with pytest.raises(ValueError):
+            system.level_operator(0, "g", "x")
+
+    def test_double_excitation_projector(self, system):
+        ref = np.diag([float(all(lvl == "r" for lvl in t)) for t in system.level_tuples])
+        np.testing.assert_array_equal(system.double_excitation_projector(), ref)
+
+    def test_channels(self, system):
+        levels = list(system.level_tuples)
+        atom = system.atom
+
+        def ref_channels(drive_on):
+            ops = []
+            for a in range(system.n_atoms):
+                if system.scattering:
+                    if drive_on:
+                        ops.append(math.sqrt(atom.gamma_blue_scatter)
+                                   * _reference_level_operator(levels, a, "g", "g"))
+                    ops.append(math.sqrt(atom.gamma_red_scatter)
+                               * _reference_level_operator(levels, a, "r", "g"))
+                if system.blackbody:
+                    ops.append(math.sqrt(1.0 / rydberg_lifetime(atom))
+                               * _reference_level_operator(levels, a, "r", "r'"))
+            if system.gamma_laser > 0:
+                collective = sum(_reference_level_operator(levels, a, "r", "r")
+                                 for a in range(system.n_atoms))
+                ops.append(math.sqrt(2.0 * system.gamma_laser) * collective)
+            return ops
+
+        for drive_on in (True, False):
+            got = [ch.operator for ch in system.channels(drive_on)]
+            ref = ref_channels(drive_on)
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                np.testing.assert_array_equal(g, r)
+        assert system.channels(True) is system.channels(True)
