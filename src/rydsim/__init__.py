@@ -5,12 +5,12 @@ Submodules:
 * ``dynamics``: density matrices, Lindblad channels, RK4 master-equation
   integrator.
 * ``atoms``: laser/atom parameters, derived scalars, detection channel.
-* ``pulses``: pulse-sequence model, compiler, named presets.
+* ``pulses``: pulse-sequence model, compiler, preset sequence builders.
 * ``blockade``: two-atom analytics (entangled states, gate unitaries,
   Bell fidelity, parity scans).
 * ``montecarlo``: seeded noise ensembles over Doppler and position draws.
 * ``fitting``: damped-cosine and decay fits with analytic Jacobians.
-* ``experiments``: preset catalog, config ingestion, CSV/manifest output.
+* ``experiments``: the preset registry, config ingestion, CSV/manifest output.
 * ``acceptance``: the built-in verification suite (also ``rydsim check``).
 """
 
@@ -64,9 +64,9 @@ from .pulses import (
     SystemModel,
     Wait,
     compile_sequence,
-    preset,
     run_compiled,
 )
+from .experiments import preset
 
 __all__ = [
     "__version__",

@@ -1,8 +1,11 @@
 """Built-in verification suite.
 
 Each check exercises one quantitative requirement end to end at a pinned
-tolerance and reports a single pass/fail line. The same checks back the
-pytest acceptance module and the ``rydsim check`` CLI subcommand.
+tolerance and reports a single pass/fail line. The preset checks (3-7 and
+10) run a preset's config at seed 7 without detection errors and pass iff
+the named scalars of that preset's analyzer pass, so each rule lives in
+one place, the analyzer. The same checks back the pytest acceptance
+module and the ``rydsim check`` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -15,12 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .atoms import AtomParams, DetectionModel, doppler_sigma, two_photon_rabi
-from .blockade import (
-    BellRecord,
-    TwoAtomParams,
-    detection_corrected_fidelity,
-    parity_amplitude,
-)
+from .blockade import BellRecord, detection_corrected_fidelity, parity_amplitude
 from .dynamics import (
     DensityMatrix,
     LindbladChannel,
@@ -29,9 +27,8 @@ from .dynamics import (
     evolve,
     tensor,
 )
-from .fitting import fit_damped_cosine, fit_decay
-from .montecarlo import EnsembleSpec, apply_detection, run_ensemble
-from .pulses import SystemModel, preset
+from .experiments import DerivedScalar, config_from_dict, preset_info
+from .montecarlo import apply_detection, run_ensemble
 from .units import TWO_PI
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_all"]
@@ -46,31 +43,22 @@ class CheckResult:
     seconds: float
 
 
-def _ensemble(build_name, system, scan, n_shots, seed=7, detection=None,
-              ideal_pulses=False, sigma_doppler=None, sigma_position=0.2,
-              return_shots=False, **params):
-    spec = EnsembleSpec(
-        build=lambda v: preset(build_name, **{_SCAN_VAR[build_name]: v}, **params),
-        system=system,
-        detection=detection,
-        sigma_doppler_krad_s=sigma_doppler,
-        sigma_position_um=sigma_position,
-        ideal_pulses=ideal_pulses,
-    )
-    return run_ensemble(spec, scan, n_shots, master_seed=seed, return_shots=return_shots)
+def _run(config: dict, return_shots: bool = False):
+    """A preset's config at seed 7 without detection errors, and its scan."""
+    cfg = config_from_dict({"master_seed": 7, "detection": None, **config})
+    res = run_ensemble(cfg.ensemble_spec(), cfg.scan_values(), cfg.n_shots,
+                       master_seed=cfg.master_seed, return_shots=return_shots)
+    return cfg, res
 
 
-_SCAN_VAR = {
-    "rabi": "drive_time",
-    "t1": "gap",
-    "ramsey": "gap",
-    "spin_echo": "gap",
-    "phase_gate_echo": "gate_time",
-    "blockade_rabi": "drive_time",
-    "parity_scan": "gate_time",
-    "w_lifetime": "gap",
-    "w_echo": "gap",
-}
+def _analyzed(config: dict) -> dict[str, DerivedScalar]:
+    cfg, res = _run(config)
+    return {s.name: s for s in preset_info(cfg.preset).analyze(cfg, res)}
+
+
+def _report(label: str, scalar: DerivedScalar, fmt: str, unit: str = "") -> str:
+    note = f"; {scalar.note}" if scalar.note else ""
+    return f"{label} = {scalar.value:{fmt}}{unit} [{scalar.target}{note}]"
 
 
 def check_two_photon_rabi() -> tuple[bool, str]:
@@ -87,69 +75,40 @@ def check_doppler_width() -> tuple[bool, str]:
 
 
 def check_t1_preset() -> tuple[bool, str]:
-    system = SystemModel(atom=AtomParams(), n_atoms=1)
-    scan = np.linspace(0.0, 150.0, 20)
-    res = _ensemble("t1", system, scan, n_shots=200)
-    fit = fit_decay(scan, res.column("g"), "exponential")
-    tau = fit.params["tau_us"]
-    ok = abs(tau - 51.7) / 51.7 < 0.10
-    return ok, f"T1 = {tau:.2f} us vs 51.7 us (10% tolerance)"
+    t1 = _analyzed({"preset": "t1"})["t1_lifetime_us"]
+    return t1.passed is True, _report("T1", t1, ".2f", " us")
 
 
 def check_ramsey_preset() -> tuple[bool, str]:
-    atom = AtomParams()
-    system = SystemModel(atom=atom, n_atoms=1)
-    scan = np.linspace(0.05, 12.05, 49)
-    res = _ensemble("ramsey", system, scan, n_shots=1000)
-    fit = fit_damped_cosine(scan, res.column("g"), "gauss_envelope")
-    tau = fit.params["tau_us"]
-    target = math.sqrt(2.0) / (doppler_sigma(atom) * 1e-3)
-    ok = abs(tau - target) / target < 0.10
-    return ok, f"T2* = {tau:.2f} us vs sqrt(2)/sigma = {target:.2f} us (10% tolerance)"
+    t2 = _analyzed({"preset": "ramsey"})["t2_star_us"]
+    return t2.passed is True, _report("T2*", t2, ".2f", " us")
 
 
 def check_spin_echo_preset() -> tuple[bool, str]:
-    scan = np.linspace(0.0, 60.0, 16)
-    system = SystemModel(atom=AtomParams(), n_atoms=1)
-    res = _ensemble("spin_echo", system, scan, n_shots=150)
-    fit = fit_decay(scan, res.column("g"), "exponential", floor=0.5)
-    t2_model = fit.params["tau_us"]
-
-    tuned = SystemModel(atom=AtomParams(), n_atoms=1, gamma_laser=1.0 / (2 * 47.0))
-    res2 = _ensemble("spin_echo", tuned, scan, n_shots=150)
-    fit2 = fit_decay(scan, res2.column("g"), "exponential", floor=0.5)
-    t2_tuned = fit2.params["tau_us"]
-
-    ok = t2_model >= 40.0 and abs(t2_tuned - 32.0) / 32.0 < 0.20
+    model = _analyzed({"preset": "spin_echo"})["t2_echo_us"]
+    tuned = _analyzed(
+        {"preset": "spin_echo", "noise": {"gamma_laser": 1.0 / (2 * 47.0)}}
+    )["t2_echo_us"]
+    ok = model.passed is True and tuned.passed is True
     return ok, (
-        f"model T2 = {t2_model:.1f} us (>= 40); with gamma_laser = 1/(2*47 us): "
-        f"T2 = {t2_tuned:.1f} us vs 32 us (20% tolerance)"
+        f"{_report('model T2', model, '.1f', ' us')}; "
+        f"{_report('tuned T2', tuned, '.1f', ' us')}"
     )
 
 
 def check_rabi_preset() -> tuple[bool, str]:
-    system = SystemModel(atom=AtomParams(), n_atoms=1)
-    scan = np.linspace(0.05, 12.05, 121)
-    res = _ensemble("rabi", system, scan, n_shots=100)
-    fit = fit_damped_cosine(scan, res.column("r"), "gauss_envelope")
-    tau = fit.params["tau_us"]
-    ok = 20.0 <= tau <= 35.0
-    return ok, f"Rabi coherence time = {tau:.2f} us (window [20, 35] us)"
+    tau = _analyzed({"preset": "rabi"})["coherence_time_us"]
+    return tau.passed is True, _report("Rabi coherence time", tau, ".2f", " us")
 
 
 def check_blockade_oscillation() -> tuple[bool, str]:
-    system = SystemModel(atom=AtomParams(), n_atoms=2, two_atom=TwoAtomParams())
-    scan = np.linspace(0.02, 1.6, 80)
-    res = _ensemble("blockade_rabi", system, scan, n_shots=1,
-                    sigma_doppler=0.0, sigma_position=0.0)
-    fit = fit_damped_cosine(scan, res.column("gg"), "exp_envelope")
-    freq = fit.params["frequency_mhz"]
-    target = 2.0 * math.sqrt(2.0)
-    max_prr = float(np.max(res.raw_column("rr")))
-    ok = abs(freq - target) / target < 0.01 and max_prr < 5e-3
+    scalars = _analyzed({"preset": "blockade_rabi", "n_shots": 1,
+                         "noise": {"doppler": False, "positions": False}})
+    freq, leak = scalars["collective_frequency_mhz"], scalars["max_p_rr"]
+    ok = freq.passed is True and leak.passed is True
     return ok, (
-        f"collective frequency = {freq:.4f} MHz vs {target:.4f} (1% tolerance); "
-        f"max P_rr = {max_prr:.2e} (< 5e-3)"
+        f"{_report('collective frequency', freq, '.4f', ' MHz')}; "
+        f"{_report('max P_rr', leak, '.2e')}"
     )
 
 
@@ -193,34 +152,27 @@ def check_parity_oracle() -> tuple[bool, str]:
 
 def check_w_echo() -> tuple[bool, str]:
     # refocusing: Doppler + position noise only, projected model, fast pulses
-    projected = SystemModel(
-        atom=AtomParams(), n_atoms=2, two_atom=TwoAtomParams(),
-        blockade_model="projected", scattering=False, blackbody=False,
+    _, res = _run(
+        {"preset": "w_echo", "blockade_model": "projected",
+         "noise": {"scattering": False, "blackbody": False}, "ideal_pulses": True,
+         "scan": {"start": 4.0, "stop": 20.0, "points": 2}, "n_shots": 50},
+        return_shots=True,
     )
-    res = _ensemble("w_echo", projected, [4.0, 20.0], n_shots=50,
-                    ideal_pulses=True, return_shots=True)
     worst = float(1.0 - res.per_shot[:, :, 0].min())
     ok_immune = worst <= 1e-5
 
     # full noise model: decay-limited lifetime
-    full = SystemModel(atom=AtomParams(), n_atoms=2, two_atom=TwoAtomParams())
-    scan = np.linspace(0.2, 60.0, 16)
-    res2 = _ensemble("w_echo", full, scan, n_shots=60)
-    fit = fit_decay(scan, res2.column("gg"), "exponential")
-    tau_echo = fit.params["tau_us"]
-    ok_tau = 40.0 <= tau_echo <= 60.0
+    echo = _analyzed({"preset": "w_echo"})["w_echo_lifetime_us"]
 
     # without the swap pulse the lifetime collapses to the Doppler scale
-    scan3 = np.linspace(0.1, 10.0, 21)
-    res3 = _ensemble("w_lifetime", full, scan3, n_shots=100)
-    fit3 = fit_decay(scan3, res3.column("gg"), "gaussian")
-    tau_plain = fit3.params["tau_us"]
+    tau_plain = _analyzed({"preset": "w_lifetime"})["w_lifetime_us"].value
     ok_plain = tau_plain < 8.0
 
-    ok = ok_immune and ok_tau and ok_plain
+    ok = ok_immune and echo.passed is True and ok_plain
     return ok, (
-        f"per-shot refocusing error = {worst:.2e} (<= 1e-5); echo lifetime = "
-        f"{tau_echo:.1f} us ([40, 60]); without swap pulse = {tau_plain:.1f} us (< 8)"
+        f"per-shot refocusing error = {worst:.2e} (<= 1e-5); "
+        f"{_report('echo lifetime', echo, '.1f', ' us')}; "
+        f"without swap pulse = {tau_plain:.1f} us (< 8)"
     )
 
 

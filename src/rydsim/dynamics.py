@@ -29,8 +29,8 @@ dissipator) stay at most 0.04: strong interactions and fast decays get
 finer steps than ``dt_max``, and RK4 stays stable.
 
 The trace is never renormalized. Every state ``evolve`` returns is checked
-once for finite entries, Hermiticity, unit trace and (by default)
-positivity; a failure raises ``FloatingPointError``.
+once for finite entries, Hermiticity, unit trace and positivity; a
+failure raises ``FloatingPointError``.
 """
 
 from __future__ import annotations
@@ -191,12 +191,6 @@ class DensityMatrix:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def isclose(self, other: "DensityMatrix", tol: float) -> bool:
-        return (
-            self.basis_labels == other.basis_labels
-            and matrices_close(self.matrix, other.matrix, tol)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -478,7 +472,6 @@ def evolve(
     channels=(),
     dt_max: float = DEFAULT_DT_MAX,
     sample_dt: float | None = None,
-    validate: bool = True,
 ) -> list[tuple[float, DensityMatrix]]:
     """Integrate the Lindblad equation through piecewise-constant segments.
 
@@ -492,7 +485,7 @@ def evolve(
 
     Raises ``ValueError`` on dimension mismatches and ``FloatingPointError``
     when a returned state is not finite, not Hermitian, has lost its trace
-    or (with ``validate``) its positivity.
+    or its positivity.
     """
     if dt_max <= 0:
         raise ValueError(f"dt_max must be positive, got {dt_max}")
@@ -518,7 +511,7 @@ def evolve(
             raise FloatingPointError(f"Hermiticity lost at t = {time:.6g} us")
         if abs(m.trace().real - 1.0) > 1e-6:
             raise FloatingPointError(f"trace diverged at t = {time:.6g} us")
-        if validate and np.linalg.eigvalsh(m)[0] < -1e-6:
+        if np.linalg.eigvalsh(m)[0] < -1e-6:
             raise FloatingPointError(f"positivity lost at t = {time:.6g} us")
         trajectory.append((time, DensityMatrix._trusted(m, labels)))
         return v

@@ -18,7 +18,6 @@ drive elements.
 
 from __future__ import annotations
 
-import difflib
 import functools
 import itertools
 import math
@@ -38,15 +37,11 @@ __all__ = [
     "LocalPhaseGate",
     "PulseSequence",
     "NoiseSample",
-    "ZERO_NOISE_1",
-    "ZERO_NOISE_2",
     "SystemModel",
     "CompiledStep",
     "CompiledSequence",
     "compile_sequence",
     "run_compiled",
-    "preset",
-    "PRESET_NAMES",
     "pi_time",
     "collective_pi_time",
 ]
@@ -136,10 +131,6 @@ class NoiseSample:
     @property
     def n_atoms(self) -> int:
         return len(self.doppler_krad_s)
-
-
-ZERO_NOISE_1 = NoiseSample((0.0,), (0.0,))
-ZERO_NOISE_2 = NoiseSample((0.0, 0.0), (0.0, 0.0))
 
 
 def zero_noise(n_atoms: int) -> NoiseSample:
@@ -485,6 +476,8 @@ def run_compiled(
 
 
 # -- presets ---------------------------------------------------------------
+# Each _preset_* builder takes its scanned variable first; experiments.PRESETS
+# registers them by name.
 
 
 def pi_time(rabi_mhz: float) -> float:
@@ -594,30 +587,3 @@ def _preset_w_echo(gap: float, rabi_mhz: float = 2.0) -> PulseSequence:
     return PulseSequence(
         (pi_w, Wait(gap / 2), two_pi_w, Wait(gap / 2), pi_w), n_atoms=2
     )
-
-
-_PRESET_BUILDERS = {
-    "rabi": _preset_rabi,
-    "t1": _preset_t1,
-    "ramsey": _preset_ramsey,
-    "spin_echo": _preset_spin_echo,
-    "phase_gate_echo": _preset_phase_gate_echo,
-    "blockade_rabi": _preset_blockade_rabi,
-    "parity_scan": _preset_parity_scan,
-    "w_lifetime": _preset_w_lifetime,
-    "w_echo": _preset_w_echo,
-}
-
-PRESET_NAMES = tuple(_PRESET_BUILDERS)
-
-
-def preset(name: str, **params) -> PulseSequence:
-    """Build a named sequence; the first positional parameter of each preset
-    is its scanned variable (drive time, gap or gate time)."""
-    try:
-        builder = _PRESET_BUILDERS[name]
-    except KeyError:
-        hint = difflib.get_close_matches(name, PRESET_NAMES, n=1)
-        suffix = f"; did you mean {hint[0]!r}?" if hint else ""
-        raise ValueError(f"unknown preset {name!r}{suffix}") from None
-    return builder(**params)

@@ -211,10 +211,10 @@ class TestBlockadeDynamics:
         from rydsim.pulses import (
             GlobalDrive,
             SystemModel,
-            ZERO_NOISE_2,
             collective_pi_time,
             compile_sequence,
             run_compiled,
+            zero_noise,
             PulseSequence,
         )
 
@@ -231,7 +231,7 @@ class TestBlockadeDynamics:
         seq = PulseSequence(
             (GlobalDrive(2 * collective_pi_time(2.0), 2.0),), n_atoms=2
         )
-        rho = run_compiled(compile_sequence(seq, system, ZERO_NOISE_2), rho0)
+        rho = run_compiled(compile_sequence(seq, system, zero_noise(2)), rho0)
         target = np.zeros(9, dtype=complex)
         target[system.basis_labels.index("gr")] = -b
         target[system.basis_labels.index("rg")] = -a
@@ -243,9 +243,9 @@ class TestBlockadeDynamics:
         from rydsim.pulses import (
             GlobalDrive,
             SystemModel,
-            ZERO_NOISE_2,
             collective_pi_time,
             compile_sequence,
+            zero_noise,
             PulseSequence,
         )
 
@@ -255,7 +255,7 @@ class TestBlockadeDynamics:
             scattering=False, blackbody=False,
         )
         seq = PulseSequence((GlobalDrive(collective_pi_time(2.0), 2.0),), n_atoms=2)
-        compiled = compile_sequence(seq, system, ZERO_NOISE_2)
+        compiled = compile_sequence(seq, system, zero_noise(2))
         traj = evolve(
             system.initial_state(), compiled.segments, compiled.steps[0].channels,
             sample_dt=0.005,

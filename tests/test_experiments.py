@@ -1,14 +1,15 @@
 import dataclasses
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from rydsim import dynamics
+from rydsim import dynamics, experiments, preset
 from rydsim.cli import main
 from rydsim.experiments import (
-    _ANALYZERS,
+    PRESETS,
     ConfigError,
     config_from_dict,
     list_presets,
@@ -16,6 +17,7 @@ from rydsim.experiments import (
     preset_info,
     run_experiment,
 )
+from rydsim.fitting import FitResult
 from rydsim.montecarlo import EnsembleResult, measured_outcomes, run_ensemble
 
 QUICK_RABI = {
@@ -141,6 +143,16 @@ class TestPresetCatalog:
     def test_lookup_error_suggests_name(self):
         with pytest.raises(ValueError, match="did you mean"):
             preset_info("w_echoo")
+
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_record_matches_its_builder(self, name):
+        info = preset_info(name)
+        cfg = config_from_dict({"preset": name})
+        build = cfg.ensemble_spec().build
+        start, stop, _ = info.default_scan
+        assert [build(v).n_atoms for v in (start, stop)] == [info.n_atoms] * 2
+        assert info.scan_variable == next(iter(inspect.signature(info.build).parameters))
+        assert preset(name, **{info.scan_variable: stop}) == build(stop)
 
 
 class TestRunExperiment:
@@ -284,6 +296,22 @@ class TestCli:
         assert np.all(np.isfinite(results[0]))
         assert np.abs(results[0] - results[1]).max() < 1e-6
 
+    @pytest.mark.parametrize("preset_name, line", [
+        ("rabi", "sequence: {crosstalk_fraction: 0.1}"),
+        ("rabi", "scan: {start: -0.2, stop: 0.2, points: 2}"),
+        ("phase_gate_echo", "scan: {start: 0, stop: 1.5, points: 2}"),
+    ], ids=["unknown_parameter", "negative_duration", "gate_exceeds_arm"])
+    def test_bad_sequence_exits_1_without_traceback(self, tmp_path, capsys, preset_name, line):
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            f"preset: {preset_name}\n{line}\nn_shots: 1\nn_workers: 1\n"
+            f"output_dir: {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_workers_env_validated(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RYDSIM_WORKERS", "not-a-number")
         config = tmp_path / "cfg.yaml"
@@ -314,6 +342,15 @@ class TestFitHealth:
     def test_unconverged_fit_cannot_pass(self, preset, scalar, shape):
         cfg = config_from_dict({"preset": preset})
         with np.errstate(all="ignore"):
-            derived = {d.name: d for d in _ANALYZERS[preset](cfg, unfittable_result(cfg, shape))}
+            derived = {d.name: d for d in preset_info(preset).analyze(cfg, unfittable_result(cfg, shape))}
         assert derived[scalar].passed is False
         assert derived[scalar].note == "fit did not converge"
+
+    def test_nan_echo_time_fails(self, monkeypatch):
+        nan_fit = FitResult({"tau_us": math.nan}, {}, 0.0, True, 1)
+        monkeypatch.setattr(experiments, "fit_decay", lambda *args, **kwargs: nan_fit)
+        cfg = config_from_dict({"preset": "spin_echo"})
+        # the analyzer reads only the (patched) fit, so any scan will do
+        result = unfittable_result(cfg, np.ones_like)
+        derived = {d.name: d for d in preset_info("spin_echo").analyze(cfg, result)}
+        assert derived["t2_echo_us"].passed is False

@@ -11,6 +11,7 @@ from rydsim.atoms import (
     detection_probabilities,
     doppler_sigma,
 )
+from rydsim import preset
 from rydsim.blockade import TwoAtomParams
 from rydsim.fitting import fit_damped_cosine
 from rydsim.montecarlo import (
@@ -25,10 +26,9 @@ from rydsim.montecarlo import (
 )
 from rydsim.pulses import (
     SystemModel,
-    ZERO_NOISE_1,
     compile_sequence,
-    preset,
     run_compiled,
+    zero_noise,
 )
 
 
@@ -175,7 +175,7 @@ class TestRunEnsemble:
             sigma_doppler_krad_s=0.0, sigma_position_um=0.0,
         )
         res = run_ensemble(spec, [0.3], n_shots=1)
-        compiled = compile_sequence(preset("rabi", drive_time=0.3), system, ZERO_NOISE_1)
+        compiled = compile_sequence(preset("rabi", drive_time=0.3), system, zero_noise(1))
         rho = run_compiled(compiled, system.initial_state())
         expected_r = rho.population("r") + rho.population("r'")
         assert abs(res.column("r")[0] - expected_r) < 1e-12
@@ -266,13 +266,11 @@ class TestRunEnsemble:
 
 class TestWorkerDeterminism:
     def test_parallel_matches_serial_bit_for_bit(self):
-        import functools
-
-        from rydsim.experiments import _build_sequence
+        from rydsim.experiments import preset_info
 
         system = SystemModel(atom=AtomParams(), n_atoms=1)
         spec = EnsembleSpec(
-            build=functools.partial(_build_sequence, "ramsey", "gap", {}),
+            build=preset_info("ramsey").build,
             system=system,
         )
         scan = [1.0, 3.0, 5.0]

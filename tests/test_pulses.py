@@ -5,7 +5,8 @@ import pytest
 
 from rydsim.atoms import AtomParams, rydberg_lifetime
 from rydsim.blockade import TwoAtomParams
-from rydsim.dynamics import coherence, population
+from rydsim import preset
+from rydsim.dynamics import coherence, matrices_close, population
 from rydsim.pulses import (
     GlobalDrive,
     LocalPhaseGate,
@@ -13,12 +14,11 @@ from rydsim.pulses import (
     PulseSequence,
     SystemModel,
     Wait,
-    ZERO_NOISE_2,
     collective_pi_time,
     compile_sequence,
     pi_time,
-    preset,
     run_compiled,
+    zero_noise,
 )
 
 
@@ -76,7 +76,7 @@ class TestCompile:
         b = PulseSequence((prep, Wait(1.0), LocalPhaseGate(0.3)), n_atoms=1)
         rho_a = run_compiled(compile_sequence(a, system, noise), system.initial_state())
         rho_b = run_compiled(compile_sequence(b, system, noise), system.initial_state())
-        assert rho_a.isclose(rho_b, 1e-10)
+        assert matrices_close(rho_a.matrix, rho_b.matrix, 1e-10)
 
     def test_channel_gating_blue_only_during_drive(self):
         system = SystemModel(atom=AtomParams(), n_atoms=1)
@@ -92,7 +92,7 @@ class TestCompile:
 
     def test_noise_sample_size_checked(self):
         with pytest.raises(ValueError):
-            compile_sequence(preset("rabi", drive_time=0.5), bare_system(), ZERO_NOISE_2)
+            compile_sequence(preset("rabi", drive_time=0.5), bare_system(), zero_noise(2))
 
     def test_projected_model_rejects_blackbody(self):
         with pytest.raises(ValueError, match="projected"):
@@ -190,7 +190,7 @@ class TestBlockadePhysics:
     def test_collective_oscillation_sqrt2_speedup(self):
         system = bare_system(n_atoms=2)
         seq = PulseSequence((GlobalDrive(collective_pi_time(2.0), 2.0),), n_atoms=2)
-        rho = run_compiled(compile_sequence(seq, system, ZERO_NOISE_2), system.initial_state())
+        rho = run_compiled(compile_sequence(seq, system, zero_noise(2)), system.initial_state())
         p_single = rho.population("gr") + rho.population("rg")
         assert p_single > 0.995
 
