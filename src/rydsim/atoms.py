@@ -10,9 +10,12 @@ into a dark neighbor state r' that is detected identically to r.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .units import TWO_PI, angular_to_krad_s
 
@@ -23,6 +26,7 @@ RB87_MASS = 1.443160648e-25  # kg
 __all__ = [
     "K_B",
     "RB87_MASS",
+    "SINGLE_ATOM_LEVELS",
     "AtomParams",
     "DetectionModel",
     "PERFECT_DETECTION",
@@ -153,6 +157,10 @@ def cavity_suppression(noise_offset_mhz: float, fwhm_mhz: float) -> float:
 
 DEFAULT_FG_TABLE = ((0.0, 0.99), (4.0, 0.99), (8.0, 0.955))
 
+# Per-atom level alphabet. r' is the blackbody product state, dark to the
+# drive and detected like r.
+SINGLE_ATOM_LEVELS = ("g", "r", "r'")
+
 
 @dataclass(frozen=True)
 class DetectionModel:
@@ -206,6 +214,37 @@ class DetectionModel:
         if level in ("r", "r'"):
             return 1.0 - self.f_r
         raise ValueError(f"unknown level {level!r}")
+
+    def confusion_matrix(
+        self, level_tuples: tuple[tuple[str, ...], ...], trap_off_time_us: float = 0.0
+    ) -> np.ndarray:
+        """Matrix from basis states to measured recapture patterns.
+
+        Column j is the distribution of basis state ``level_tuples[j]`` over
+        the patterns of per-atom (recaptured, lost), atom 1 most significant.
+        Raises ``ValueError`` when a tabulated f_g does not cover the
+        trap-off time.
+        """
+        return _confusion_matrix(level_tuples, self.fg_at(trap_off_time_us), self.f_r)
+
+
+@functools.lru_cache(maxsize=256)
+def _confusion_matrix(
+    level_tuples: tuple[tuple[str, ...], ...], f_g: float, f_r: float
+) -> np.ndarray:
+    # Kronecker product of the per-atom 2x3 matrices whose rows are
+    # (recaptured, lost) and whose columns are (g, r, r'), restricted to
+    # the columns of the basis states the system keeps
+    n_atoms = len(level_tuples[0])
+    per_atom = np.array([[f_g, 1.0 - f_r, 1.0 - f_r], [1.0 - f_g, f_r, f_r]])
+    full = functools.reduce(np.kron, [per_atom] * n_atoms)
+    columns = [
+        sum(SINGLE_ATOM_LEVELS.index(lvl) * 3 ** (n_atoms - 1 - k) for k, lvl in enumerate(t))
+        for t in level_tuples
+    ]
+    c = np.ascontiguousarray(full[:, columns])
+    c.setflags(write=False)
+    return c
 
 
 PERFECT_DETECTION = DetectionModel(f_g=1.0, f_r=1.0)

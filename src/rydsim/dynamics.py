@@ -22,7 +22,8 @@ small: 5 of 9 entries for one atom starting in g, 25 of 81 for two atoms.
 On that set the state is held in real coordinates (Re rho_ii, and Re rho_ij
 and Im rho_ij for i < j), in which M is a real matrix of the same size, so
 the RK4 map is built and powered with real products (a 25x25 real product
-costs about half of a complex one). The index maps are cached per set.
+costs about half of a complex one). Two constant change-of-basis matrices,
+cached per set, carry M and the state into real coordinates and back.
 
 Each segment's step is capped so that h*||H||inf and h*||D||inf (D the
 dissipator) stay at most 0.04: strong interactions and fast decays get
@@ -38,7 +39,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -369,13 +369,17 @@ def _invariant_subspace(pattern: bytes, support: bytes) -> tuple[np.ndarray, tup
     """Indices reachable from ``support`` along the nonzero pattern of M.
 
     ``pattern`` is ``(M != 0).tobytes()`` and ``support`` is
-    ``(vec != 0).tobytes()``. Returns the smallest index set that contains
-    the support and that M maps into itself, and the ``np.ix_`` index of
-    M's block on it.
+    ``(vec != 0).tobytes()``. The support is first closed under
+    (i, j) -> (j, i); M maps Hermitian matrices to Hermitian matrices, so
+    the reachable set stays closed. Returns the smallest such index set that
+    contains the support and that M maps into itself, and the ``np.ix_``
+    index of M's block on it.
     """
     n = len(support)
+    dim = math.isqrt(n)
     edges = np.frombuffer(pattern, dtype=bool).reshape(n, n)
-    reached = np.frombuffer(support, dtype=bool).copy()
+    start = np.frombuffer(support, dtype=bool).reshape(dim, dim)
+    reached = (start | start.T).reshape(-1)
     frontier = reached
     while frontier.any():
         frontier = edges[:, frontier].any(axis=1) & ~reached
@@ -385,85 +389,37 @@ def _invariant_subspace(pattern: bytes, support: bytes) -> tuple[np.ndarray, tup
     return idx, np.ix_(idx, idx)
 
 
-class _RealCoordinates(NamedTuple):
-    """Index maps between complex vec(rho) entries and real coordinates.
-
-    Every array indexes a float64 view, in which entry k of a complex array
-    is floats 2k (real part) and 2k + 1 (imaginary part).
-    """
-
-    gather: np.ndarray  # x = vec_f[gather]
-    gen_a: np.ndarray  # generator = m_f[gen_a] * sign_a + m_f[gen_b] * sign_b
-    sign_a: np.ndarray
-    gen_b: np.ndarray
-    sign_b: np.ndarray
-    scatter_to: np.ndarray  # vec_f[scatter_to] = x[scatter_from] * scatter_sign
-    scatter_from: np.ndarray
-    scatter_sign: np.ndarray
-
-    def coordinates(self, vec: np.ndarray) -> np.ndarray:
-        return vec.view(np.float64)[self.gather]
-
-    def generator(self, m: np.ndarray) -> np.ndarray:
-        mf = np.ascontiguousarray(m, dtype=complex).view(np.float64).reshape(-1)
-        return mf[self.gen_a] * self.sign_a + mf[self.gen_b] * self.sign_b
-
-    def state(self, x: np.ndarray, dim: int) -> np.ndarray:
-        """The Hermitian vec(rho) with these coordinates (zero elsewhere)."""
-        v = np.zeros(dim * dim, dtype=complex)
-        v.view(np.float64)[self.scatter_to] = x[self.scatter_from] * self.scatter_sign
-        return v
-
-
 @functools.lru_cache(maxsize=256)
-def _real_coordinates(entries: bytes, dim: int) -> _RealCoordinates:
-    """Real coordinates of Hermitian states on a set of vec(rho) entries.
+def _real_coordinates(entries: bytes, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Change of basis between Hermitian vec(rho) entries and real coordinates.
 
-    ``entries`` is an index array from ``_invariant_subspace`` as bytes; the
-    set is first closed under (i, j) -> (j, i), which keeps it invariant
-    because M maps Hermitian matrices to Hermitian matrices. The coordinates
-    are Re rho_ii, then Re rho_ij and Im rho_ij for i < j (Havel, J. Math.
-    Phys. 44, 534 (2003)). The generator in them is real, and its RK4 map
-    is the complex one restricted to Hermitian states.
+    ``entries`` is an index array from ``_invariant_subspace`` as bytes (a
+    set closed under (i, j) -> (j, i)). The coordinates are Re rho_ii, then
+    Re rho_ij and Im rho_ij for i < j (Havel, J. Math. Phys. 44, 534 (2003)).
+    Returns the k x k complex matrices ``to_real`` and ``to_vec``, with
+    ``x = Re(to_real @ v)`` and ``v = to_vec @ x`` for v the entries of a
+    Hermitian vec(rho). The generator ``Re(to_real @ M @ to_vec)`` is real,
+    and its RK4 map is the complex one restricted to Hermitian states.
     """
-    rows, cols = np.divmod(np.frombuffer(entries, dtype=np.intp), dim)
-    pairs = set(zip(np.minimum(rows, cols).tolist(), np.maximum(rows, cols).tolist()))
-    diag = sorted(i for i, j in pairs if i == j)
-    upper = sorted((i, j) for i, j in pairs if i < j)
-    d_pos = np.array([i * dim + i for i in diag], dtype=np.intp)
-    u_pos = np.array([i * dim + j for i, j in upper], dtype=np.intp)
-    l_pos = np.array([j * dim + i for i, j in upper], dtype=np.intp)
+    idx = np.frombuffer(entries, dtype=np.intp)
+    rows, cols = np.divmod(idx, dim)
+    diag = np.flatnonzero(rows == cols)
+    upper = np.flatnonzero(rows < cols)
+    lower = np.searchsorted(idx, cols[upper] * dim + rows[upper])
     nd, nu = len(diag), len(upper)
-
-    # coordinate k is part part[k] (0 real, 1 imaginary) of entry pos[k]
-    pos = np.concatenate([d_pos, u_pos, u_pos])
-    part = np.repeat([0, 0, 1], [nd, nu, nu])
-    gather = 2 * pos + part
-
-    # The state of unit coordinate b is 1 at entry e1[b] for Re rho_ii; 1 at
-    # ij and ji for Re rho_ij; i at ij and -i at ji for Im rho_ij. Generator
-    # entry (a, b) is part part[a] of M[pos[a], :] applied to that state. A
-    # factor +-i swaps which part of M is read: Re(iz) = -Im z, Im(iz) = Re z.
-    e1 = np.concatenate([d_pos, u_pos, u_pos])[None, :]
-    e2 = np.concatenate([d_pos, l_pos, l_pos])[None, :]
-    has_e2 = np.repeat([0.0, 1.0, 1.0], [nd, nu, nu])[None, :]
-    rotated = np.repeat([False, False, True], [nd, nu, nu])[None, :]
-    row_part = part[:, None]
-    read = np.where(rotated, 1 - row_part, row_part)
-    row = 2 * dim * dim * pos[:, None]
-    gen_a = row + 2 * e1 + read
-    gen_b = row + 2 * e2 + read
-    sign_a = np.where(rotated & (row_part == 0), -1.0, 1.0)
-    sign_b = np.where(rotated & (row_part == 1), -1.0, 1.0) * has_e2
-
-    scatter_to = np.concatenate([2 * d_pos, 2 * u_pos, 2 * u_pos + 1, 2 * l_pos, 2 * l_pos + 1])
-    re, im = np.arange(nd, nd + nu), np.arange(nd + nu, nd + 2 * nu)
-    scatter_from = np.concatenate([np.arange(nd), re, im, re, im])
-    scatter_sign = np.repeat([1.0, 1.0, 1.0, 1.0, -1.0], [nd, nu, nu, nu, nu])
-    arrays = (gather, gen_a, sign_a, gen_b, sign_b, scatter_to, scatter_from, scatter_sign)
-    for arr in arrays:
-        arr.setflags(write=False)
-    return _RealCoordinates(*arrays)
+    k = nd + 2 * nu
+    re, im = nd + np.arange(nu), nd + nu + np.arange(nu)
+    # row a reads one entry: its real part, or Re(-i z) = Im z
+    to_real = np.zeros((k, k), dtype=complex)
+    to_real[np.arange(k), np.r_[diag, upper, upper]] = np.repeat([1, 1, -1j], [nd, nu, nu])
+    # Re rho_ij writes 1 at ij and ji; Im rho_ij writes i at ij and -i at ji
+    to_vec = np.zeros((k, k), dtype=complex)
+    to_vec[diag, np.arange(nd)] = 1
+    to_vec[upper, re] = to_vec[lower, re] = 1
+    to_vec[upper, im], to_vec[lower, im] = 1j, -1j
+    to_real.setflags(write=False)
+    to_vec.setflags(write=False)
+    return to_real, to_vec
 
 
 def evolve(
@@ -501,12 +457,13 @@ def evolve(
     vec = np.ascontiguousarray(rho0.matrix.reshape(-1), dtype=complex)
     t = 0.0
 
-    def emit(time: float, coords: _RealCoordinates, x: np.ndarray) -> np.ndarray:
-        if not np.isfinite(x).all():
-            raise FloatingPointError(f"NaN/Inf in state at t = {time:.6g} us")
-        v = coords.state(x, dim)
+    def emit(time: float, idx: np.ndarray, to_vec: np.ndarray, x: np.ndarray) -> np.ndarray:
+        v = np.zeros(dim * dim, dtype=complex)
+        v[idx] = to_vec @ x
         v.setflags(write=False)
         m = v.reshape(dim, dim)
+        if not np.isfinite(v).all():
+            raise FloatingPointError(f"NaN/Inf in state at t = {time:.6g} us")
         if hermiticity_defect(m) > HERMITICITY_TOL:
             raise FloatingPointError(f"Hermiticity lost at t = {time:.6g} us")
         if abs(m.trace().real - 1.0) > 1e-6:
@@ -530,27 +487,14 @@ def evolve(
         n_steps = max(1, math.ceil(seg.duration / h_cap))
         h = seg.duration / n_steps
         m = liouvillian(seg.hamiltonian, channels)
-        idx, _ = _invariant_subspace(_nonzero_pattern(m), (vec != 0).tobytes())
-        coords = _real_coordinates(np.asarray(idx, dtype=np.intp).tobytes(), dim)
-        step = rk4_map(coords.generator(m), h)
-        x = coords.coordinates(vec)
-        if sample_dt is None:
-            x = _power_apply(step, n_steps, x)
-            t += seg.duration
-            vec = emit(t, coords, x)
-        else:
-            chunk = max(1, round(sample_dt / h))
-            done = 0
-            chunk_map = None
-            while done < n_steps:
-                k = min(chunk, n_steps - done)
-                if k == chunk:
-                    if chunk_map is None:
-                        chunk_map = np.linalg.matrix_power(step, chunk)
-                    x = chunk_map @ x
-                else:
-                    x = _power_apply(step, k, x)
-                done += k
-                vec = emit(t + done * h, coords, x)
-            t += seg.duration
+        idx, ix = _invariant_subspace(_nonzero_pattern(m), (vec != 0).tobytes())
+        to_real, to_vec = _real_coordinates(idx.tobytes(), dim)
+        step = rk4_map((to_real @ m[ix] @ to_vec).real, h)
+        x = (to_real @ vec[idx]).real.copy()
+        chunk = n_steps if sample_dt is None else max(1, round(sample_dt / h))
+        ends = [*range(chunk, n_steps, chunk), n_steps]
+        for start, end in zip([0, *ends], ends):
+            x = _power_apply(step, end - start, x)
+            vec = emit(t + (seg.duration if end == n_steps else end * h), idx, to_vec, x)
+        t += seg.duration
     return trajectory

@@ -30,7 +30,9 @@ from .atoms import AtomParams, DetectionModel, doppler_sigma
 from .blockade import BellRecord, TwoAtomParams, detection_corrected_fidelity
 from .dynamics import DEFAULT_DT_MAX
 from .fitting import fit_cosine, fit_damped_cosine, fit_decay
-from .montecarlo import DEFAULT_SIGMA_POSITION_UM, EnsembleResult, EnsembleSpec, run_ensemble
+from .montecarlo import (
+    DEFAULT_SIGMA_POSITION_UM, EnsembleResult, EnsembleSpec, run_ensemble, shot_seed,
+)
 from .pulses import GlobalDrive, PulseSequence, SystemModel, collective_pi_time
 
 __all__ = [
@@ -420,7 +422,10 @@ def _bell_prep_probabilities(cfg: ExperimentConfig) -> EnsembleResult:
         )
 
     spec = dataclasses.replace(cfg.ensemble_spec(), build=build)
-    return run_ensemble(spec, [0.0], cfg.n_shots, cfg.mode, cfg.master_seed)
+    # a master seed of its own (scan index -1, which no scan point has), so
+    # these shots do not repeat the noise draws of parity point 0
+    seed = shot_seed(cfg.master_seed, -1, 0) >> 1
+    return run_ensemble(spec, [0.0], cfg.n_shots, cfg.mode, seed)
 
 
 def _analyze_parity(cfg: ExperimentConfig, res: EnsembleResult) -> list[DerivedScalar]:

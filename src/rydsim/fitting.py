@@ -74,7 +74,7 @@ def _validate_xy(t, y, min_points: int):
     return t, y
 
 
-def _gauss_newton(model_jac, p0, weights, max_iter=MAX_ITERATIONS):
+def _gauss_newton(model_jac, p0, max_iter=MAX_ITERATIONS):
     """Minimize ||w*(model(p) - y)||^2 by damped Gauss-Newton.
 
     ``model_jac(p)`` returns (residual, jacobian) already weighted. Returns
@@ -241,7 +241,7 @@ def fit_damped_cosine(t, y, model: str = "exp_envelope", weights=None) -> FitRes
         ) * w[:, None]
         return resid, jac
 
-    p, cov, rnorm, converged, iters = _gauss_newton(model_jac, p0, w)
+    p, cov, rnorm, converged, iters = _gauss_newton(model_jac, p0)
     offset, amp, f, phase, rate = p
     # a gaussian envelope is even in the rate; an exponential fit only ends
     # up negative when the data carry no decay at all
@@ -293,7 +293,7 @@ def fit_decay(t, y, model: str = "exponential", floor: float | None = None,
         jac = np.column_stack(cols) * w[:, None]
         return resid, jac
 
-    p, cov, rnorm, converged, iters = _gauss_newton(model_jac, np.array(p0), w)
+    p, cov, rnorm, converged, iters = _gauss_newton(model_jac, np.array(p0))
     rate = _snap_undetectable_rate(
         abs(float(p[1])) if gaussian else max(float(p[1]), 0.0), span
     )
@@ -334,7 +334,7 @@ def fit_cosine(t, y, freq_guess_mhz: float | None = None, weights=None) -> FitRe
         ) * w[:, None]
         return resid, jac
 
-    p, cov, rnorm, converged, iters = _gauss_newton(model_jac, p0, w)
+    p, cov, rnorm, converged, iters = _gauss_newton(model_jac, p0)
     params = {
         "offset": float(p[0]),
         "amplitude": float(p[1]),

@@ -7,28 +7,25 @@ channel. Shots are seeded individually from (master_seed, scan_index,
 shot_index) with a stable hash, so results are bit-identical regardless of
 execution order or worker count.
 
-Detection is a confusion matrix from basis states to measured recapture
-patterns: the Kronecker product of per-atom 2x3 matrices, cached per
-(levels, f_g, f_r). A shot's detected distribution is that matrix times
-its populations; ``apply_detection`` applies the same matrix to a labeled
-distribution.
+Detection is ``DetectionModel.confusion_matrix``, from basis states to
+measured recapture patterns. A shot's detected distribution is that matrix
+times its populations; ``apply_detection`` applies the same matrix to a
+labeled distribution.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .atoms import DetectionModel, PERFECT_DETECTION, doppler_sigma
+from .atoms import SINGLE_ATOM_LEVELS, DetectionModel, PERFECT_DETECTION, doppler_sigma
 from .dynamics import DEFAULT_DT_MAX, population_vector
 from .pulses import (
-    SINGLE_ATOM_LEVELS,
     NoiseSample,
     PulseSequence,
     SystemModel,
@@ -98,7 +95,7 @@ def apply_detection(
     n_atoms = len(levels[0])
     if any(len(t) != n_atoms for t in levels):
         raise ValueError("labels mix different numbers of atoms")
-    c = _detection_matrix(levels, PERFECT_DETECTION if d is None else d, trap_off_time_us)
+    c = (PERFECT_DETECTION if d is None else d).confusion_matrix(levels, trap_off_time_us)
     return dict(zip(measured_outcomes(n_atoms), (c @ p).tolist()))
 
 
@@ -114,40 +111,6 @@ def _check_distribution(p: np.ndarray) -> None:
     total = p.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"input distribution sums to {total}, not 1")
-
-
-def _detection_matrix(
-    level_tuples: tuple[tuple[str, ...], ...],
-    d: DetectionModel,
-    trap_off_time_us: float,
-) -> np.ndarray:
-    """Confusion matrix from basis states to measured recapture patterns.
-
-    Column j is the distribution over ``measured_outcomes`` of basis state
-    ``level_tuples[j]``. Raises ``ValueError`` when a tabulated f_g does not
-    cover the trap-off time.
-    """
-    return _confusion_matrix(level_tuples, d.fg_at(trap_off_time_us), d.f_r)
-
-
-@functools.lru_cache(maxsize=256)
-def _confusion_matrix(
-    level_tuples: tuple[tuple[str, ...], ...], f_g: float, f_r: float
-) -> np.ndarray:
-    # Kronecker product of the per-atom 2x3 matrices whose rows are
-    # (recaptured, lost) and whose columns are (g, r, r'), restricted to
-    # the columns of the basis states the system keeps
-    n_atoms = len(level_tuples[0])
-    per_atom = np.array([[f_g, 1.0 - f_r, 1.0 - f_r], [1.0 - f_g, f_r, f_r]])
-    full = functools.reduce(np.kron, [per_atom] * n_atoms)
-    position = {lvl: i for i, lvl in enumerate(SINGLE_ATOM_LEVELS)}
-    columns = [
-        sum(position[lvl] * 3 ** (n_atoms - 1 - k) for k, lvl in enumerate(t))
-        for t in level_tuples
-    ]
-    c = np.ascontiguousarray(full[:, columns])
-    c.setflags(write=False)
-    return c
 
 
 @dataclass(frozen=True)
@@ -191,7 +154,6 @@ class EnsembleResult:
     n_shots: int
     mode: str
     master_seed: int
-    durations_us: np.ndarray = field(default=None)
     per_shot: np.ndarray | None = None  # (n_scan, n_shots, n_outcomes) if requested
 
     def column(self, outcome: str) -> np.ndarray:
@@ -211,7 +173,7 @@ def wilson_interval(p_hat: float, n: int, z: float = 1.0) -> tuple[float, float]
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def _run_scan_point(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _run_scan_point(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (spec, value, scan_index, n_shots, mode, master_seed) = args
     system = spec.system
     levels = system.level_tuples
@@ -223,7 +185,6 @@ def _run_scan_point(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     shots = np.empty((n_shots, n_outcomes))
     raw_sum = np.zeros(n_outcomes)
     counts = np.zeros(n_outcomes)
-    duration = 0.0
     for shot in range(n_shots):
         rng = np.random.Generator(
             np.random.PCG64(shot_seed(master_seed, scan_index, shot))
@@ -234,12 +195,12 @@ def _run_scan_point(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         rho = run_compiled(compiled, rho0, dt_max=spec.dt_max)
         populations = population_vector(rho)
         _check_distribution(populations)
-        raw = _detection_matrix(levels, PERFECT_DETECTION, duration) @ populations
+        raw = PERFECT_DETECTION.confusion_matrix(levels, duration) @ populations
         raw_sum += raw
         if spec.detection is None:
             vec = raw
         else:
-            vec = _detection_matrix(levels, spec.detection, duration) @ populations
+            vec = spec.detection.confusion_matrix(levels, duration) @ populations
         # tiny negatives can appear at the populations' clamp boundary
         vec = np.clip(vec, 0.0, None)
         vec /= vec.sum()
@@ -251,7 +212,7 @@ def _run_scan_point(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         probs = counts / n_shots
     else:
         probs = shots.mean(axis=0)
-    return probs, raw_sum / n_shots, shots, duration
+    return probs, raw_sum / n_shots, shots
 
 
 def run_ensemble(
@@ -292,7 +253,6 @@ def run_ensemble(
 
     probs = np.vstack([r[0] for r in results])
     raw = np.vstack([r[1] for r in results])
-    durations = np.array([r[3] for r in results])
     ci_low = np.empty_like(probs)
     ci_high = np.empty_like(probs)
     for i in range(probs.shape[0]):
@@ -312,6 +272,5 @@ def run_ensemble(
         n_shots=n_shots,
         mode=mode,
         master_seed=master_seed,
-        durations_us=durations,
         per_shot=per_shot,
     )

@@ -26,9 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atoms import AtomParams, effective_wavevector, rydberg_lifetime
+from .atoms import SINGLE_ATOM_LEVELS, AtomParams, effective_wavevector, rydberg_lifetime
 from .blockade import TwoAtomParams
-from .dynamics import DensityMatrix, LindbladChannel, Segment
+from .dynamics import DEFAULT_DT_MAX, DensityMatrix, LindbladChannel, Segment
 from .units import TWO_PI, krad_s_to_angular, mhz_to_angular
 
 __all__ = [
@@ -135,11 +135,6 @@ class NoiseSample:
 
 def zero_noise(n_atoms: int) -> NoiseSample:
     return NoiseSample((0.0,) * n_atoms, (0.0,) * n_atoms)
-
-
-# Per-atom level alphabet. r' is the blackbody product state, dark to the
-# drive and detected like r.
-SINGLE_ATOM_LEVELS = ("g", "r", "r'")
 
 
 @dataclass(frozen=True)
@@ -460,18 +455,18 @@ def compile_sequence(
 def run_compiled(
     compiled: CompiledSequence,
     rho0: DensityMatrix,
-    dt_max: float | None = None,
+    dt_max: float = DEFAULT_DT_MAX,
 ) -> DensityMatrix:
     """Evolve an initial state through a compiled sequence, returning the end state."""
-    from .dynamics import DEFAULT_DT_MAX, apply_unitary, evolve
+    # evolve is looked up at call time, so a wrapped dynamics.evolve is used
+    from .dynamics import apply_unitary, evolve
 
-    dt = DEFAULT_DT_MAX if dt_max is None else dt_max
     rho = rho0
     for step in compiled.steps:
         if step.unitary is not None:
             rho = apply_unitary(rho, step.unitary)
         else:
-            rho = evolve(rho, [step.segment], step.channels, dt_max=dt)[-1][1]
+            rho = evolve(rho, [step.segment], step.channels, dt_max=dt_max)[-1][1]
     return rho
 
 

@@ -213,6 +213,25 @@ class TestRunExperiment:
         assert 0.85 < scalars["bell_fidelity"] <= 1.0
         assert scalars["bell_fidelity_corrected"] > scalars["bell_fidelity"]
 
+    def test_bell_prep_draws_noise_apart_from_parity_point_0(self, monkeypatch):
+        from rydsim import montecarlo
+
+        draws = []
+        sample_noise = montecarlo.sample_noise
+
+        def recording(*args):
+            draws.append(sample_noise(*args))
+            return draws[-1]
+
+        monkeypatch.setattr(montecarlo, "sample_noise", recording)
+        cfg = config_from_dict({"preset": "parity_scan", "n_shots": 3})
+        run_ensemble(cfg.ensemble_spec(), cfg.scan_values()[:1], 3,
+                     master_seed=cfg.master_seed)
+        experiments._bell_prep_probabilities(cfg)
+        assert len(draws) == 6
+        parity_point_0, bell_prep = draws[:3], draws[3:]
+        assert all(a != b for a, b in zip(parity_point_0, bell_prep))
+
     def test_t1_manifest_passes_its_rule(self, tmp_path):
         cfg = config_from_dict(
             {

@@ -16,7 +16,6 @@ from rydsim.blockade import TwoAtomParams
 from rydsim.fitting import fit_damped_cosine
 from rydsim.montecarlo import (
     EnsembleSpec,
-    _detection_matrix,
     apply_detection,
     measured_outcomes,
     run_ensemble,
@@ -131,7 +130,7 @@ class TestDetectionMatrix:
         rng = np.random.default_rng(2)
         labels = system.basis_labels
         for t in times:
-            c = _detection_matrix(system.level_tuples, model, t)
+            c = model.confusion_matrix(system.level_tuples, t)
             assert c.shape == (2 ** system.n_atoms, system.dim)
             np.testing.assert_allclose(c.sum(axis=0), 1.0, rtol=0, atol=1e-15)
             for p in [np.eye(system.dim)[0], rng.dirichlet(np.ones(system.dim))]:
@@ -146,7 +145,7 @@ class TestDetectionMatrix:
     def test_table_out_of_range_raises(self):
         levels = SystemModel(atom=AtomParams(), n_atoms=2).level_tuples
         with pytest.raises(ValueError, match="outside table range"):
-            _detection_matrix(levels, TABLE_MODEL, 8.5)
+            TABLE_MODEL.confusion_matrix(levels, 8.5)
         with pytest.raises(ValueError, match="outside table range"):
             apply_detection({"gg": 1.0}, TABLE_MODEL, -0.1)
 
