@@ -490,7 +490,7 @@ def evolve(
         idx, ix = _invariant_subspace(_nonzero_pattern(m), (vec != 0).tobytes())
         to_real, to_vec = _real_coordinates(idx.tobytes(), dim)
         step = rk4_map((to_real @ m[ix] @ to_vec).real, h)
-        x = (to_real @ vec[idx]).real.copy()
+        x = (to_real @ vec[idx]).real
         chunk = n_steps if sample_dt is None else max(1, round(sample_dt / h))
         ends = [*range(chunk, n_steps, chunk), n_steps]
         for start, end in zip([0, *ends], ends):
