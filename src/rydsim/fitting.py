@@ -1,14 +1,15 @@
 """Nonlinear least-squares fits for the functional forms used in the scans.
 
 A damped Gauss-Newton loop (Levenberg-style diagonal damping, analytic
-Jacobians) covers three model families:
+Jacobian) fits one model,
 
-* damped cosine: offset + A*cos(2*pi*f*t + phi) * env(t/tau)
-* plain decay:   floor + A * env(t/tau)
-* plain cosine:  offset + A*cos(2*pi*f*t + phi)
+    offset + A*cos(2*pi*f*t + phi) * env(t/tau)
 
-with env either exp(-x) or exp(-x^2). Decays are parameterized internally
-by the rate 1/tau so that "no decay" is the well-behaved point rate = 0.
+with env either exp(-x) or exp(-x^2), and each public fit holds some of
+its parameters fixed: ``fit_damped_cosine`` frees all five, ``fit_decay``
+holds f = phi = 0 (and optionally the offset), ``fit_cosine`` holds the
+decay rate at 0. Decays are parameterized internally by the rate 1/tau so
+that "no decay" is the well-behaved point rate = 0.
 Times are in us and frequencies in MHz (cycles/us), so no conversion
 factors appear anywhere.
 """
@@ -34,12 +35,7 @@ MAX_ITERATIONS = 200
 GRADIENT_TOL = 1e-12
 STEP_TOL = 1e-10
 NO_DECAY_RATE = 1e-9  # 1/us; fitted rates at or below this mean tau -> inf
-
-
-def _snap_undetectable_rate(rate: float, span: float) -> float:
-    # envelopes a million times longer than the scan are indistinguishable
-    # from no decay; report them as exactly zero
-    return 0.0 if rate <= 1e-6 / span else rate
+_PARAMS = ("offset", "amplitude", "frequency_mhz", "phase_rad", "rate_per_us")
 
 
 @dataclass
@@ -75,9 +71,9 @@ def _validate_xy(t, y, min_points: int):
 
 
 def _gauss_newton(model_jac, p0, max_iter=MAX_ITERATIONS):
-    """Minimize ||w*(model(p) - y)||^2 by damped Gauss-Newton.
+    """Minimize ||model(p) - y||^2 by damped Gauss-Newton.
 
-    ``model_jac(p)`` returns (residual, jacobian) already weighted. Returns
+    ``model_jac(p)`` returns (residual, jacobian). Returns
     (p, cov_diag, residual_norm, converged, iterations).
     """
     p = np.asarray(p0, dtype=float)
@@ -185,162 +181,126 @@ def _envelope_rate_guess(t, y, gaussian: bool) -> float:
     return min(max(rate, floor), 20.0 / span)
 
 
-def _normalize_cosine(params: dict[str, float], raw_frequency: float) -> None:
+def _fit(t, y, guess: dict[str, float], free: tuple[str, ...], gaussian: bool):
+    """Fit offset + A*cos(2*pi*f*t + phi)*env(rate*t), varying only ``free``.
+
+    ``guess`` sets all five parameters; those not named in ``free`` stay
+    fixed there. The Jacobian columns, and so the covariance, follow the
+    order of ``free``. Returns the fitted parameters and the diagnostics
+    (covariance by name, residual norm, converged, iterations).
+    """
+    held = np.array([guess[name] for name in _PARAMS], dtype=float)
+    cols = [_PARAMS.index(name) for name in free]
+
+    def model_jac(p):
+        full = held.copy()
+        full[cols] = p
+        offset, amp, f, phase, rate = full
+        arg = TWO_PI * f * t + phase
+        x = rate * t
+        env = np.exp(-(x**2)) if gaussian else np.exp(-x)
+        cosarg = np.cos(arg)
+        osc = cosarg * env
+        dosc_dphase = amp * env * -np.sin(arg)
+        denv_drate = env * (-2.0 * x * t) if gaussian else env * (-t)
+        jac = (np.ones_like(t), osc, dosc_dphase * TWO_PI * t, dosc_dphase,
+               amp * cosarg * denv_drate)
+        return offset + amp * osc - y, np.column_stack([jac[i] for i in cols])
+
+    p, cov, rnorm, converged, iters = _gauss_newton(model_jac, held[cols])
+    held[cols] = p
+    return dict(zip(_PARAMS, map(float, held))), (
+        dict(zip(free, map(float, cov))), rnorm, converged, iters)
+
+
+def _cosine_params(fitted: dict[str, float]) -> dict[str, float]:
     # canonical form: positive frequency and amplitude, phase in (-pi, pi]
-    if raw_frequency < 0:
-        params["phase_rad"] = -params["phase_rad"]
-    if params["amplitude"] < 0:
-        params["amplitude"] = -params["amplitude"]
-        params["phase_rad"] += math.pi
-    phase = math.remainder(params["phase_rad"], TWO_PI)
+    amplitude, phase = fitted["amplitude"], fitted["phase_rad"]
+    if fitted["frequency_mhz"] < 0:
+        phase = -phase
+    if amplitude < 0:
+        amplitude = -amplitude
+        phase += math.pi
+    phase = math.remainder(phase, TWO_PI)
     if phase <= -math.pi:
         phase += TWO_PI
-    params["phase_rad"] = phase
+    return {"amplitude": amplitude, "frequency_mhz": abs(fitted["frequency_mhz"]),
+            "phase_rad": phase}
 
 
-def fit_damped_cosine(t, y, model: str = "exp_envelope", weights=None) -> FitResult:
+def _decay_params(rate: float, gaussian: bool, span: float) -> dict[str, float]:
+    # a gaussian envelope is even in the rate; an exponential fit only ends
+    # up negative when the data carry no decay at all
+    rate = abs(rate) if gaussian else max(rate, 0.0)
+    # envelopes a million times longer than the scan are indistinguishable
+    # from no decay; report them as exactly zero
+    if rate <= 1e-6 / span:
+        rate = 0.0
+    return {"rate_per_us": rate, "tau_us": 1.0 / rate if rate > NO_DECAY_RATE else math.inf}
+
+
+def fit_damped_cosine(t, y, model: str = "exp_envelope") -> FitResult:
     """Fit offset + A*cos(2*pi*f*t + phi)*env(t/tau).
 
     ``model`` selects the envelope: "exp_envelope" for exp(-t/tau) or
     "gauss_envelope" for exp(-(t/tau)^2). The frequency is initialized from
     the spectral peak of the mean-subtracted data, so the scan must cover
-    at least one oscillation period. Optional ``weights`` multiply the
-    residuals (e.g. inverse confidence intervals).
+    at least one oscillation period.
     """
     if model not in ("exp_envelope", "gauss_envelope"):
         raise ValueError(f"unknown envelope model {model!r}")
     gaussian = model == "gauss_envelope"
     t, y = _validate_xy(t, y, 6)
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
 
     f0 = spectral_peak(t, y)
     span = float(t.max() - t.min())
     if span * f0 < 1.0:
         raise ValueError("scan must span at least one oscillation period")
     amp0, phase0 = _phase_amplitude_guess(t, y, f0)
-    rate0 = _envelope_rate_guess(t, y, gaussian)
-    p0 = np.array([np.mean(y), amp0, f0, phase0, rate0])
-
-    def model_jac(p):
-        offset, amp, f, phase, rate = p
-        arg = TWO_PI * f * t + phase
-        x = rate * t
-        env = np.exp(-(x**2)) if gaussian else np.exp(-x)
-        cosarg = np.cos(arg)
-        osc = cosarg * env
-        resid = (offset + amp * osc - y) * w
-        denv_drate = env * (-2.0 * x * t) if gaussian else env * (-t)
-        jac = np.column_stack(
-            [
-                np.ones_like(t),
-                osc,
-                amp * env * -np.sin(arg) * TWO_PI * t,
-                amp * env * -np.sin(arg),
-                amp * cosarg * denv_drate,
-            ]
-        ) * w[:, None]
-        return resid, jac
-
-    p, cov, rnorm, converged, iters = _gauss_newton(model_jac, p0)
-    offset, amp, f, phase, rate = p
-    # a gaussian envelope is even in the rate; an exponential fit only ends
-    # up negative when the data carry no decay at all
-    rate = _snap_undetectable_rate(abs(rate) if gaussian else max(rate, 0.0), span)
-    params = {
-        "offset": float(offset),
-        "amplitude": float(amp),
-        "frequency_mhz": float(abs(f)),
-        "phase_rad": float(phase),
-        "rate_per_us": float(rate),
-        "tau_us": float(1.0 / rate) if rate > NO_DECAY_RATE else math.inf,
-    }
-    _normalize_cosine(params, float(f))
-    names = ["offset", "amplitude", "frequency_mhz", "phase_rad", "rate_per_us"]
-    return FitResult(params, dict(zip(names, map(float, cov))), rnorm, converged, iters)
+    guess = dict(zip(_PARAMS, (np.mean(y), amp0, f0, phase0,
+                               _envelope_rate_guess(t, y, gaussian))))
+    fitted, diagnostics = _fit(t, y, guess, _PARAMS, gaussian)
+    params = {"offset": fitted["offset"], **_cosine_params(fitted),
+              **_decay_params(fitted["rate_per_us"], gaussian, span)}
+    return FitResult(params, *diagnostics)
 
 
-def fit_decay(t, y, model: str = "exponential", floor: float | None = None,
-              weights=None) -> FitResult:
+def fit_decay(t, y, model: str = "exponential", floor: float | None = None) -> FitResult:
     """Fit floor + A*env(t/tau) with env exp(-x) or exp(-x^2).
 
-    ``floor`` fixes the asymptote when given (echo-contrast fits use 0.5);
-    otherwise it is a free parameter.
+    This is the damped cosine held at zero frequency and phase. ``floor``
+    fixes the asymptote when given (echo-contrast fits use 0.5); otherwise
+    it is a free parameter.
     """
     if model not in ("exponential", "gaussian"):
         raise ValueError(f"unknown decay model {model!r}")
     gaussian = model == "gaussian"
     t, y = _validate_xy(t, y, 4)
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
     span = float(t.max() - t.min())
     if span <= 0:
         raise ValueError("degenerate time axis")
 
-    free_floor = floor is None
-    c0 = float(np.min(y)) if free_floor else float(floor)
-    a0 = float(y[np.argmin(t)] - c0) or 1.0
-    p0 = [a0, 1.0 / span] + ([c0] if free_floor else [])
-
-    def model_jac(p):
-        amp, rate = p[0], p[1]
-        c = p[2] if free_floor else c0
-        x = rate * t
-        env = np.exp(-(x**2)) if gaussian else np.exp(-x)
-        resid = (c + amp * env - y) * w
-        denv_drate = env * (-2.0 * x * t) if gaussian else env * (-t)
-        cols = [env, amp * denv_drate]
-        if free_floor:
-            cols.append(np.ones_like(t))
-        jac = np.column_stack(cols) * w[:, None]
-        return resid, jac
-
-    p, cov, rnorm, converged, iters = _gauss_newton(model_jac, np.array(p0))
-    rate = _snap_undetectable_rate(
-        abs(float(p[1])) if gaussian else max(float(p[1]), 0.0), span
-    )
-    params = {
-        "amplitude": float(p[0]),
-        "rate_per_us": rate,
-        "tau_us": float(1.0 / rate) if rate > NO_DECAY_RATE else math.inf,
-        "offset": float(p[2]) if free_floor else c0,
-    }
-    names = ["amplitude", "rate_per_us"] + (["offset"] if free_floor else [])
-    return FitResult(params, dict(zip(names, map(float, cov))), rnorm, converged, iters)
+    c0 = float(np.min(y)) if floor is None else float(floor)
+    guess = {"offset": c0, "amplitude": float(y[np.argmin(t)] - c0) or 1.0,
+             "frequency_mhz": 0.0, "phase_rad": 0.0, "rate_per_us": 1.0 / span}
+    free = ("amplitude", "rate_per_us") + (("offset",) if floor is None else ())
+    fitted, diagnostics = _fit(t, y, guess, free, gaussian)
+    params = {"amplitude": fitted["amplitude"],
+              **_decay_params(fitted["rate_per_us"], gaussian, span),
+              "offset": fitted["offset"]}
+    return FitResult(params, *diagnostics)
 
 
-def fit_cosine(t, y, freq_guess_mhz: float | None = None, weights=None) -> FitResult:
+def fit_cosine(t, y, freq_guess_mhz: float | None = None) -> FitResult:
     """Fit offset + A*cos(2*pi*f*t + phi) with no envelope.
 
-    The frequency starts from ``freq_guess_mhz`` when the drive frequency
-    is known (e.g. a phase-gate scan) and from the spectral peak otherwise.
+    This is the damped cosine held at zero rate. The frequency starts from
+    ``freq_guess_mhz`` when the drive frequency is known (e.g. a phase-gate
+    scan) and from the spectral peak otherwise.
     """
     t, y = _validate_xy(t, y, 4)
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
     f0 = freq_guess_mhz if freq_guess_mhz is not None else spectral_peak(t, y)
     amp0, phase0 = _phase_amplitude_guess(t, y, f0)
-    p0 = np.array([np.mean(y), amp0, f0, phase0])
-
-    def model_jac(p):
-        offset, amp, f, phase = p
-        arg = TWO_PI * f * t + phase
-        cosarg = np.cos(arg)
-        resid = (offset + amp * cosarg - y) * w
-        jac = np.column_stack(
-            [
-                np.ones_like(t),
-                cosarg,
-                amp * -np.sin(arg) * TWO_PI * t,
-                amp * -np.sin(arg),
-            ]
-        ) * w[:, None]
-        return resid, jac
-
-    p, cov, rnorm, converged, iters = _gauss_newton(model_jac, p0)
-    params = {
-        "offset": float(p[0]),
-        "amplitude": float(p[1]),
-        "frequency_mhz": float(abs(p[2])),
-        "phase_rad": float(p[3]),
-    }
-    _normalize_cosine(params, float(p[2]))
-    names = ["offset", "amplitude", "frequency_mhz", "phase_rad"]
-    return FitResult(params, dict(zip(names, map(float, cov))), rnorm, converged, iters)
+    guess = dict(zip(_PARAMS, (np.mean(y), amp0, f0, phase0, 0.0)))
+    fitted, diagnostics = _fit(t, y, guess, _PARAMS[:4], gaussian=False)
+    return FitResult({"offset": fitted["offset"], **_cosine_params(fitted)}, *diagnostics)

@@ -212,48 +212,38 @@ class SystemModel:
     def double_excitation_projector(self) -> np.ndarray:
         return self._operators.double_excitation
 
-    # -- Hamiltonian pieces ------------------------------------------------
+    def hamiltonian(self, element, noise: NoiseSample) -> np.ndarray:
+        """H (rad/us) of one pulse element under one noise draw.
 
-    def free_hamiltonian(self, noise: NoiseSample, detuning_mhz: float = 0.0) -> np.ndarray:
-        """Detuning and interaction terms present in every element."""
+        Every element carries the detunings (Doppler plus a drive's
+        two-photon detuning) and the interaction; a GlobalDrive adds the
+        coupling with position-dependent phases, a LocalPhaseGate the
+        ground-state light shift on its target (and a crosstalk fraction of
+        it on the other atom).
+        """
         ops = self._operators
+        detuning_mhz = element.detuning_mhz if isinstance(element, GlobalDrive) else 0.0
         h = np.zeros((self.dim, self.dim), dtype=complex)
         for atom, proj in enumerate(ops.r_projectors):
-            delta = krad_s_to_angular(noise.doppler_krad_s[atom]) + mhz_to_angular(
-                detuning_mhz
-            )
+            delta = krad_s_to_angular(noise.doppler_krad_s[atom]) + mhz_to_angular(detuning_mhz)
             h -= delta * proj
         if ops.interaction is not None:
             h += ops.interaction
-        return h
-
-    def drive_hamiltonian(
-        self, element: GlobalDrive, noise: NoiseSample, include_doppler: bool = True
-    ) -> np.ndarray:
-        """Two-photon drive with position-dependent phases plus free terms.
-
-        ``include_doppler=False`` drops the Doppler detunings but keeps the
-        static position phases (the idealized fast-pulse limit).
-        """
-        ops = self._operators
-        omega = mhz_to_angular(element.rabi_mhz)
-        doppler = noise if include_doppler else zero_noise(self.n_atoms)
-        h = self.free_hamiltonian(doppler, element.detuning_mhz)
-        for atom, raising in enumerate(ops.raising):
-            position = ops.nominal_positions[atom] + noise.position_um[atom]
-            phase = ops.wavevector * position + element.phase
-            coupling = 0.5 * omega * np.exp(1j * phase)
-            h = h + coupling * raising + np.conj(coupling) * raising.conj().T
-        return h
-
-    def phase_gate_hamiltonian(self, element: LocalPhaseGate, noise: NoiseSample) -> np.ndarray:
-        """Ground-state light shift on the target atom plus free terms."""
-        h = self.free_hamiltonian(noise)
-        shift = mhz_to_angular(element.light_shift_mhz)
-        h -= shift * self.projector(element.target_atom, "g")
-        if element.crosstalk_fraction and self.n_atoms == 2:
-            other = 1 - element.target_atom
-            h -= element.crosstalk_fraction * shift * self.projector(other, "g")
+        if isinstance(element, GlobalDrive):
+            omega = mhz_to_angular(element.rabi_mhz)
+            for atom, raising in enumerate(ops.raising):
+                position = ops.nominal_positions[atom] + noise.position_um[atom]
+                phase = ops.wavevector * position + element.phase
+                coupling = 0.5 * omega * np.exp(1j * phase)
+                h = h + coupling * raising + np.conj(coupling) * raising.conj().T
+        elif isinstance(element, LocalPhaseGate):
+            shift = mhz_to_angular(element.light_shift_mhz)
+            h -= shift * self.projector(element.target_atom, "g")
+            if element.crosstalk_fraction and self.n_atoms == 2:
+                other = 1 - element.target_atom
+                h -= element.crosstalk_fraction * shift * self.projector(other, "g")
+        elif not isinstance(element, Wait):
+            raise ValueError(f"unknown pulse element {element!r}")
         return h
 
     # -- Lindblad channels --------------------------------------------------
@@ -378,11 +368,15 @@ class CompiledStep:
 class CompiledSequence:
     steps: tuple[CompiledStep, ...]
     basis_labels: tuple[str, ...]
-    total_duration: float
 
     @property
     def segments(self) -> tuple[Segment, ...]:
         return tuple(s.segment for s in self.steps if s.segment is not None)
+
+    @property
+    def total_duration(self) -> float:
+        """Time spent in segments; instantaneous unitaries take none."""
+        return sum((seg.duration for seg in self.segments), 0.0)
 
 
 def compile_sequence(
@@ -394,10 +388,10 @@ def compile_sequence(
     """Compile a pulse sequence against a system and one noise draw.
 
     With ``ideal_pulses`` every GlobalDrive becomes an instantaneous
-    unitary exp(-i H_drive * duration) built without Doppler detunings (the
-    limit of pulses much faster than any detuning); waits and phase gates
-    are unaffected. Useful for isolating free-evolution physics, e.g. echo
-    refocusing checks.
+    unitary exp(-i H_drive * duration) built with the Doppler detunings
+    zeroed but the position phases kept (the limit of pulses much faster
+    than any detuning); waits and phase gates are unaffected. Useful for
+    isolating free-evolution physics, e.g. echo refocusing checks.
     """
     if seq.n_atoms != system.n_atoms:
         raise ValueError(
@@ -411,45 +405,17 @@ def compile_sequence(
         )
 
     steps: list[CompiledStep] = []
-    total = 0.0
     for el in seq.elements:
-        if isinstance(el, GlobalDrive):
-            if ideal_pulses:
-                h = system.drive_hamiltonian(el, noise, include_doppler=False)
-                w, v = np.linalg.eigh(h)
-                u = (v * np.exp(-1j * w * el.duration)) @ v.conj().T
-                steps.append(CompiledStep(channels=(), unitary=u))
-                continue
-            h = system.drive_hamiltonian(el, noise)
-            steps.append(
-                CompiledStep(
-                    channels=system.channels(drive_on=True),
-                    segment=Segment(h, el.duration),
-                )
-            )
-        elif isinstance(el, Wait):
-            steps.append(
-                CompiledStep(
-                    channels=system.channels(drive_on=False),
-                    segment=Segment(system.free_hamiltonian(noise), el.duration),
-                )
-            )
-        elif isinstance(el, LocalPhaseGate):
-            steps.append(
-                CompiledStep(
-                    channels=system.channels(drive_on=False),
-                    segment=Segment(system.phase_gate_hamiltonian(el, noise), el.duration),
-                )
-            )
+        drive = isinstance(el, GlobalDrive)
+        if drive and ideal_pulses:
+            doppler_free = NoiseSample((0.0,) * system.n_atoms, noise.position_um)
+            w, v = np.linalg.eigh(system.hamiltonian(el, doppler_free))
+            u = (v * np.exp(-1j * w * el.duration)) @ v.conj().T
+            steps.append(CompiledStep(channels=(), unitary=u))
         else:
-            raise ValueError(f"unknown pulse element {el!r}")
-        total += el.duration
-
-    if not ideal_pulses and not math.isclose(
-        total, seq.total_duration, rel_tol=0.0, abs_tol=1e-12
-    ):
-        raise AssertionError("compiled duration drifted from the sequence duration")
-    return CompiledSequence(tuple(steps), system.basis_labels, total)
+            segment = Segment(system.hamiltonian(el, noise), el.duration)
+            steps.append(CompiledStep(system.channels(drive_on=drive), segment=segment))
+    return CompiledSequence(tuple(steps), system.basis_labels)
 
 
 def run_compiled(

@@ -148,13 +148,6 @@ class TestCosineFit:
         assert fit.params["amplitude"] >= 0
         assert abs(abs(fit.params["phase_rad"]) - math.pi) < 1e-7
 
-    def test_weights_accepted(self):
-        t = np.linspace(0, 2, 60)
-        y = 0.5 + 0.3 * np.cos(TWO_PI * 1.5 * t)
-        w = np.ones_like(t)
-        fit = fit_cosine(t, y, freq_guess_mhz=1.5, weights=w)
-        assert abs(fit.params["amplitude"] - 0.3) < 1e-9
-
     def test_covariance_reported(self):
         rng = np.random.default_rng(8)
         t = np.linspace(0, 4, 120)
