@@ -73,7 +73,7 @@ class AtomParams:
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("gamma_blue_scatter", "gamma_red_scatter"):
-            if getattr(self, name) < 0:
+            if not (getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.delta_intermediate_mhz < 5 * max(self.omega_blue_mhz, self.omega_red_mhz):
             warnings.warn(

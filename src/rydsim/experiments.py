@@ -155,9 +155,19 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _has_nan(value) -> bool:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return any(map(_has_nan, value))
+    return isinstance(value, float) and math.isnan(value)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Validate a parsed config mapping against its preset."""
     _require(isinstance(data, dict), "config must be a mapping")
+    nan_keys = sorted(key for key, value in data.items() if _has_nan(value))
+    _require(not nan_keys, f"NaN in config {nan_keys}")
     unknown = set(data) - _CONFIG_KEYS
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     _require("preset" in data, "config needs a 'preset' name")
@@ -210,6 +220,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(noise) - _NOISE_KEYS
     _require(not unknown, f"unknown noise keys: {sorted(unknown)}")
 
+    sigma_position_um = float(noise.get("sigma_position_um", DEFAULT_SIGMA_POSITION_UM))
+    _require(0 <= sigma_position_um < math.inf,
+             f"noise.sigma_position_um must be finite and >= 0, got {sigma_position_um}")
+    n_workers = _integer(data.get("n_workers", 1), "n_workers")
+    _require(n_workers >= 1, f"n_workers must be >= 1, got {n_workers}")
+
     sequence = dict(data.get("sequence", {}))
     allowed_params = set(info.sequence_defaults)
     unknown = set(sequence) - allowed_params
@@ -243,11 +259,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         scattering=bool(noise.get("scattering", True)),
         blackbody=bool(noise.get("blackbody", True)),
         gamma_laser=float(noise.get("gamma_laser", 0.0)),
-        sigma_position_um=float(noise.get("sigma_position_um", DEFAULT_SIGMA_POSITION_UM)),
+        sigma_position_um=sigma_position_um,
         sequence=sequence,
         blockade_model=blockade_model,
         ideal_pulses=bool(data.get("ideal_pulses", False)),
-        n_workers=_integer(data.get("n_workers", 1), "n_workers"),
+        n_workers=n_workers,
         raw=data,
     )
     cfg.system()  # surface inconsistent model/noise combinations now

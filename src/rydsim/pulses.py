@@ -162,7 +162,7 @@ class SystemModel:
             raise ValueError(f"unknown blockade model {self.blockade_model!r}")
         if self.n_atoms == 2 and self.two_atom is None:
             object.__setattr__(self, "two_atom", TwoAtomParams())
-        if self.gamma_laser < 0:
+        if not (self.gamma_laser >= 0):
             raise ValueError(f"negative gamma_laser {self.gamma_laser}")
         if self.n_atoms == 2 and self.blockade_model == "projected" and self.blackbody:
             raise ValueError(

@@ -17,8 +17,11 @@ from rydsim.experiments import (
     preset_info,
     run_experiment,
 )
+from rydsim.atoms import AtomParams
+from rydsim.blockade import TwoAtomParams
 from rydsim.fitting import FitResult
 from rydsim.montecarlo import EnsembleResult, measured_outcomes, run_ensemble
+from rydsim.pulses import SystemModel
 
 QUICK_RABI = {
     "preset": "rabi",
@@ -117,6 +120,21 @@ class TestConfigValidation:
     def test_bad_atom_parameter(self):
         with pytest.raises(ConfigError, match="atom"):
             config_from_dict({"preset": "rabi", "atom": {"temperature_uk": -1}})
+
+    @pytest.mark.parametrize("build", [
+        lambda: AtomParams(gamma_blue_scatter=math.nan),
+        lambda: AtomParams(gamma_red_scatter=math.nan),
+        lambda: TwoAtomParams(separation_um=math.nan),
+        lambda: TwoAtomParams(interaction_u_mhz=math.nan),
+        lambda: SystemModel(atom=AtomParams(), gamma_laser=math.nan),
+    ], ids=["blue_scatter", "red_scatter", "separation", "interaction", "gamma_laser"])
+    def test_range_checks_reject_nan(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_infinite_blackbody_time_accepted(self):
+        cfg = config_from_dict({"preset": "rabi", "atom": {"t_blackbody_us": math.inf}})
+        assert cfg.atom.t_blackbody_us == math.inf
 
     def test_projected_model_with_blackbody_flagged_for_two_atoms(self):
         cfg = config_from_dict(
@@ -324,6 +342,28 @@ class TestCli:
         config = tmp_path / "cfg.yaml"
         config.write_text(
             f"preset: {preset_name}\n{line}\nn_shots: 1\nn_workers: 1\n"
+            f"output_dir: {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("preset_name, line", [
+        ("rabi", "noise: {gamma_laser: .nan}"),
+        ("rabi", "atom: {gamma_red_scatter: .nan}"),
+        ("blockade_rabi", "two_atom: {interaction_u_mhz: .nan}"),
+        ("rabi", "noise: {sigma_position_um: -1.0}"),
+        ("rabi", "noise: {sigma_position_um: .nan}"),
+        ("rabi", "n_workers: 0"),
+        ("rabi", "n_workers: -4"),
+    ], ids=["nan_gamma_laser", "nan_red_scatter", "nan_interaction", "negative_sigma_position",
+            "nan_sigma_position", "zero_workers", "negative_workers"])
+    def test_bad_number_exits_1_without_traceback(self, tmp_path, capsys, preset_name, line):
+        workers = "" if line.startswith("n_workers") else "n_workers: 1\n"
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            f"preset: {preset_name}\n{line}\n{workers}scan: {{points: 2}}\nn_shots: 1\n"
             f"output_dir: {tmp_path / 'out'}\n"
         )
         assert main(["run", str(config)]) == 1
