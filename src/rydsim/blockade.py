@@ -51,9 +51,9 @@ class TwoAtomParams:
     positions_um: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.separation_um <= 0:
+        if not (self.separation_um > 0):
             raise ValueError(f"separation must be positive, got {self.separation_um}")
-        if self.interaction_u_mhz <= 0:
+        if not (self.interaction_u_mhz > 0):
             raise ValueError(f"interaction must be positive, got {self.interaction_u_mhz}")
         if self.k_eff_rad_per_um is None:
             object.__setattr__(
@@ -166,6 +166,14 @@ def bell_fidelity(rho: DensityMatrix) -> BellRecord:
     return BellRecord(diag_sum=diag_sum, offdiag_amp=2.0 * abs(coh), fidelity=fidelity)
 
 
+def _parity_scan(rho: np.ndarray, delta_mhz: float, times) -> np.ndarray:
+    """Populations after the phase gate for each time and the closing
+    collective pi pulse; one row per time, columns in the basis order."""
+    x_pi = blockaded_pi_unitary()
+    gates = [x_pi @ local_phase_unitary(delta_mhz, float(t)) for t in times]
+    return np.array([(u @ rho @ u.conj().T).diagonal().real for u in gates])
+
+
 def parity_amplitude(
     rho0: DensityMatrix,
     delta_mhz: float,
@@ -193,14 +201,7 @@ def parity_amplitude(
     if span < 0.5 / (2.0 * delta_mhz):
         raise ValueError("parity scan must span at least half an oscillation period")
 
-    x_pi = blockaded_pi_unitary()
-    p_gg = np.empty(times.size)
-    idx_gg = rho0.index("gg")
-    for i, t in enumerate(times):
-        u = x_pi @ local_phase_unitary(delta_mhz, float(t))
-        rho_t = u @ rho0.matrix @ u.conj().T
-        p_gg[i] = float(np.real(rho_t[idx_gg, idx_gg]))
-
+    p_gg = _parity_scan(rho0.matrix, delta_mhz, times)[:, rho0.index("gg")]
     _, _, coh = _single_excitation_elements(rho0)
     direct = abs(coh)
     if direct < 1e-12 and np.ptp(p_gg) < 1e-12:
@@ -245,13 +246,9 @@ def detection_corrected_fidelity(
     diag_max = 0.5 * float(c[1:3, 1:3].sum())
 
     # Off-diagonal ceiling: parity scan of the perfect W with detection.
-    x_pi = blockaded_pi_unitary()
     rho_w = np.outer(w_state(), w_state().conj())
     times = np.linspace(0.0, 2.0 / delta_mhz, 41)
-    p_gg_meas = np.empty(times.size)
-    for i, t in enumerate(times):
-        u = x_pi @ local_phase_unitary(delta_mhz, float(t))
-        p_gg_meas[i] = c[0] @ (u @ rho_w @ u.conj().T).diagonal().real
+    p_gg_meas = _parity_scan(rho_w, delta_mhz, times) @ c[0]
 
     from .fitting import fit_cosine
 
