@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-9
+TRACE_TOL = 1e-6
 POSITIVITY_TOL = 1e-8
 
 # Default integrator step (us). Halving it moves populations by well under
@@ -141,7 +141,7 @@ class DensityMatrix:
             raise ValueError("basis labels must be unique")
         require_hermitian(m, HERMITICITY_TOL, "density matrix")
         tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > 1e-6:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
 
     @classmethod
@@ -466,7 +466,7 @@ def evolve(
             raise FloatingPointError(f"NaN/Inf in state at t = {time:.6g} us")
         if hermiticity_defect(m) > HERMITICITY_TOL:
             raise FloatingPointError(f"Hermiticity lost at t = {time:.6g} us")
-        if abs(m.trace().real - 1.0) > 1e-6:
+        if abs(m.trace().real - 1.0) > TRACE_TOL:
             raise FloatingPointError(f"trace diverged at t = {time:.6g} us")
         if np.linalg.eigvalsh(m)[0] < -1e-6:
             raise FloatingPointError(f"positivity lost at t = {time:.6g} us")

@@ -287,6 +287,12 @@ class TestStateAccessors:
         mixed = DensityMatrix(np.eye(4) / 4, PAIR_BASIS)
         assert abs(population(mixed, "rr") - 0.25) < 1e-12
 
+    def test_trace_check_enforces_trace_tol(self):
+        assert dynamics.TRACE_TOL == 1e-6
+        DensityMatrix(np.diag([1.0 + 0.5 * dynamics.TRACE_TOL, 0.0]), GR_BASIS)
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(np.diag([1.0 + 2.0 * dynamics.TRACE_TOL, 0.0]), GR_BASIS)
+
     def test_population_unknown_label(self):
         with pytest.raises(ValueError, match="unknown basis label"):
             population(DensityMatrix.pure("g", GR_BASIS), "x")
