@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rydsim.atoms import AtomParams  # noqa: E402
