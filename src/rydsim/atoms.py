@@ -75,6 +75,8 @@ class AtomParams:
         for name in ("gamma_blue_scatter", "gamma_red_scatter"):
             if not (getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if self.t_blackbody_us == self.t_radiative_us == math.inf:
+            raise ValueError("t_blackbody_us and t_radiative_us cannot both be infinite")
         if self.delta_intermediate_mhz < 5 * max(self.omega_blue_mhz, self.omega_red_mhz):
             warnings.warn(
                 "intermediate detuning is not large compared to the single-photon "

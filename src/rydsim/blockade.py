@@ -42,12 +42,12 @@ class TwoAtomParams:
     """Geometry and interaction of the atom pair.
 
     ``positions_um`` are the nominal positions along the array axis; the
-    drive phase seen by atom i is k_eff * x_i.
+    drive phase seen by atom i is k_eff * x_i, with k_eff the effective
+    wavevector of the system's atom.
     """
 
     interaction_u_mhz: float = 30.0
     separation_um: float = 5.7
-    k_eff_rad_per_um: float | None = None
     positions_um: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -55,14 +55,12 @@ class TwoAtomParams:
             raise ValueError(f"separation must be positive, got {self.separation_um}")
         if not (self.interaction_u_mhz > 0):
             raise ValueError(f"interaction must be positive, got {self.interaction_u_mhz}")
-        if self.k_eff_rad_per_um is None:
-            object.__setattr__(
-                self, "k_eff_rad_per_um", effective_wavevector(AtomParams())
-            )
         if self.positions_um is None:
             object.__setattr__(self, "positions_um", (0.0, self.separation_um))
         else:
             object.__setattr__(self, "positions_um", tuple(self.positions_um))
+        if len(self.positions_um) != 2:
+            raise ValueError(f"positions_um needs two positions, got {self.positions_um}")
 
 
 @dataclass(frozen=True)
@@ -97,13 +95,14 @@ class BellRecord:
 def w_state(p: TwoAtomParams | None = None) -> np.ndarray:
     """Symmetric single-excitation state vector in the gg, gr, rg, rr basis.
 
-    (e^{i k x1} |rg> + e^{i k x2} |gr>) / sqrt(2); with both positions at
-    zero this is the phase-free (|gr> + |rg>)/sqrt(2).
+    (e^{i k x1} |rg> + e^{i k x2} |gr>) / sqrt(2), with k the default
+    atom's effective wavevector; with both positions at zero this is the
+    phase-free (|gr> + |rg>)/sqrt(2).
     """
     if p is None:
         phi1 = phi2 = 0.0
     else:
-        k = p.k_eff_rad_per_um
+        k = effective_wavevector(AtomParams())
         phi1, phi2 = k * p.positions_um[0], k * p.positions_um[1]
     vec = np.zeros(4, dtype=complex)
     vec[2] = np.exp(1j * phi1) / math.sqrt(2)  # rg

@@ -8,9 +8,10 @@ Subcommands:
 * ``rydsim check``: run the built-in verification suite and print a
   pass/fail table.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure. The
-``RYDSIM_WORKERS`` environment variable sets the default worker count for
-shot-level parallelism (defaults to the machine's available parallelism).
+Exit codes: 0 success, 1 validation error, 2 numerical failure, neither
+with a traceback. Config values are read as ``config_from_dict`` says (YAML
+booleans only, finite numbers). ``RYDSIM_WORKERS``, an integer >= 1, sets
+the default worker count (default: the machine's available parallelism).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 import sys
 
 from . import __version__
-from .experiments import ConfigError, list_presets, load_config, run_experiment
+from .experiments import ConfigError, list_presets, load_config, run_experiment, worker_count
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -30,12 +31,13 @@ EXIT_NUMERICAL = 2
 
 def _default_workers() -> int:
     env = os.environ.get("RYDSIM_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"RYDSIM_WORKERS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        value = int(env)
+    except ValueError:
+        value = env  # refused below as not an integer
+    return worker_count(value, "RYDSIM_WORKERS")
 
 
 def _cmd_run(args) -> int:

@@ -18,8 +18,9 @@ import functools
 import inspect
 import json
 import math
+import numbers
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, dataclass, field, asdict
 from pathlib import Path
 from typing import Callable
 
@@ -51,26 +52,11 @@ __all__ = [
 
 # -- configuration -----------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "preset",
-    "scan",
-    "n_shots",
-    "mode",
-    "master_seed",
-    "output_dir",
-    "dt_max",
-    "atom",
-    "two_atom",
-    "detection",
-    "noise",
-    "sequence",
-    "blockade_model",
-    "ideal_pulses",
-    "n_workers",
-}
-
+# The ExperimentConfig fields that a config nests under ``noise:``.
 _NOISE_KEYS = {"doppler", "positions", "scattering", "blackbody", "gamma_laser",
                "sigma_position_um"}
+# The only numbers that may be infinite: .inf switches that decay off.
+_MAY_BE_INFINITE = {"atom.t_blackbody_us", "atom.t_radiative_us"}
 
 
 class ConfigError(ValueError):
@@ -145,127 +131,135 @@ def _require(condition: bool, message: str) -> None:
 
 def _integer(value, name: str) -> int:
     """An integral config value; int() alone would run 2.7 as 2 and true as 1."""
-    integral = isinstance(value, (int, np.integer)) or (
-        isinstance(value, (float, np.floating)) and float(value).is_integer()
-    )
-    _require(
-        integral and not isinstance(value, bool),
-        f"{name} must be an integer, got {value!r}",
-    )
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    _require(integral and not isinstance(value, bool),
+             f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
-def _has_nan(value) -> bool:
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, (list, tuple)):
-        return any(map(_has_nan, value))
-    return isinstance(value, float) and math.isnan(value)
+def worker_count(value, name: str) -> int:
+    """A number of worker processes: an integer >= 1."""
+    workers = _integer(value, name)
+    _require(workers >= 1, f"{name} must be >= 1, got {workers}")
+    return workers
+
+
+def _number(value, name: str) -> float:
+    """A finite int or float. YAML reads 1e-3 (no dot) as a string, so it fails here."""
+    _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
+             f"{name} must be a number, got {value!r}")
+    value = float(value)
+    _require(math.isfinite(value) or (value == math.inf and name in _MAY_BE_INFINITE),
+             f"{name} must be finite, got {value}")
+    return value
+
+
+def _read(value, default, name: str):
+    """One config value, read as the kind of value its ``default`` is."""
+    if isinstance(default, bool):
+        _require(isinstance(value, bool), f"{name} must be true or false, got {value!r}")
+    elif isinstance(default, int):
+        value = _integer(value, name)
+    elif isinstance(default, float):
+        value = _number(value, name)
+    elif isinstance(default, str):
+        _require(isinstance(value, str), f"{name} must be a string, got {value!r}")
+    elif isinstance(default, dict):
+        value = _fields(value, default, name)
+    elif dataclasses.is_dataclass(default):
+        value = _section(type(default), value, name)
+    else:  # a default of None: positions_um and f_g_table take (nested) lists of numbers
+        _require(isinstance(value, (list, tuple)), f"{name} must be a list, got {value!r}")
+        value = tuple(
+            _read(v, None if isinstance(v, (list, tuple)) else 0.0, f"{name}[{i}]")
+            for i, v in enumerate(value)
+        )
+    return value
+
+
+def _fields(data, defaults: dict, name: str, nullable=()) -> dict:
+    """The entries of config mapping ``name``, each read as the kind of its
+    default; null is read as None where a key is ``nullable``."""
+    _require(isinstance(data, dict), f"{name or 'config'} must be a mapping, got {data!r}")
+    unknown = set(data) - set(defaults)
+    _require(not unknown, f"unknown {f'{name} parameters' if name else 'config keys'}: "
+                          f"{sorted(unknown)} (allowed: {sorted(defaults)})")
+    return {
+        key: None if value is None and key in nullable
+        else _read(value, defaults[key], f"{name}.{key}" if name else key)
+        for key, value in data.items()
+    }
+
+
+def _schema(cls) -> tuple[dict, set]:
+    """The defaults of the fields of dataclass ``cls`` that have one, and the
+    names of the fields whose annotation admits None."""
+    fields = [f for f in dataclasses.fields(cls)
+              if f.default is not MISSING or f.default_factory is not MISSING]
+    defaults = {f.name: f.default if f.default is not MISSING else f.default_factory()
+                for f in fields}
+    return defaults, {f.name for f in fields if "None" in str(f.type)}
+
+
+def _section(cls, data, name: str):
+    """Dataclass ``cls`` from config mapping ``name``: its fields are the schema."""
+    defaults, nullable = _schema(cls)
+    values = _fields(data, defaults, name, nullable)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Validate a parsed config mapping against its preset."""
+    """Validate a parsed config mapping against its preset.
+
+    ExperimentConfig's fields are the schema: each field with a default is a
+    key read as the kind of that default, and the ``_NOISE_KEYS`` nest under
+    ``noise``. The preset supplies the scan, shot and sequence defaults.
+    """
     _require(isinstance(data, dict), "config must be a mapping")
-    nan_keys = sorted(key for key, value in data.items() if _has_nan(value))
-    _require(not nan_keys, f"NaN in config {nan_keys}")
-    unknown = set(data) - _CONFIG_KEYS
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     _require("preset" in data, "config needs a 'preset' name")
-    info = preset_info(str(data["preset"]))
-
-    scan = data.get("scan", {})
-    _require(isinstance(scan, dict), "'scan' must be a mapping with start/stop/points")
-    unknown = set(scan) - {"start", "stop", "points"}
-    _require(not unknown, f"unknown scan keys: {sorted(unknown)}")
-    start = float(scan.get("start", info.default_scan[0]))
-    stop = float(scan.get("stop", info.default_scan[1]))
-    points = _integer(scan.get("points", info.default_scan[2]), "scan.points")
-    _require(points >= 1, "scan needs at least one point")
-    _require(stop >= start, "scan stop must be >= start")
-
-    n_shots = _integer(data.get("n_shots", info.default_shots), "n_shots")
-    _require(n_shots >= 1, "n_shots must be >= 1")
-    mode = str(data.get("mode", "expectation"))
-    _require(mode in ("expectation", "sampled"), f"unknown mode {mode!r}")
-
-    dt_max = float(data.get("dt_max", DEFAULT_DT_MAX))
-    _require(dt_max > 0, "dt_max must be positive")
-
-    try:
-        atom = AtomParams(**data.get("atom", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad atom parameters: {exc}") from None
-    try:
-        two_atom_data = data.get("two_atom", {})
-        two_atom = TwoAtomParams(**{
-            k: (tuple(v) if k == "positions_um" else v) for k, v in two_atom_data.items()
-        })
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad two-atom parameters: {exc}") from None
-
-    detection: DetectionModel | None
-    if "detection" in data and data["detection"] is None:
-        detection = None
-    else:
-        det = dict(data.get("detection", {}))
-        if "f_g_table" in det:
-            det["f_g_table"] = tuple(tuple(row) for row in det["f_g_table"])
-            det.setdefault("f_g", None)
-        try:
-            detection = DetectionModel(**det)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad detection model: {exc}") from None
-
-    noise = dict(data.get("noise", {}))
-    unknown = set(noise) - _NOISE_KEYS
-    _require(not unknown, f"unknown noise keys: {sorted(unknown)}")
-
-    sigma_position_um = float(noise.get("sigma_position_um", DEFAULT_SIGMA_POSITION_UM))
-    _require(0 <= sigma_position_um < math.inf,
-             f"noise.sigma_position_um must be finite and >= 0, got {sigma_position_um}")
-    n_workers = _integer(data.get("n_workers", 1), "n_workers")
-    _require(n_workers >= 1, f"n_workers must be >= 1, got {n_workers}")
-
-    sequence = dict(data.get("sequence", {}))
-    allowed_params = set(info.sequence_defaults)
-    unknown = set(sequence) - allowed_params
-    _require(
-        not unknown,
-        f"unknown sequence parameters for preset {info.name!r}: {sorted(unknown)} "
-        f"(allowed: {sorted(allowed_params)})",
+    info = preset_info(_read(data["preset"], "", "preset"))
+    defaults, nullable = _schema(ExperimentConfig)
+    del defaults["raw"]
+    defaults["noise"] = {key: defaults.pop(key) for key in _NOISE_KEYS}
+    defaults.update(
+        preset="",
+        scan=dict(zip(("start", "stop", "points"), info.default_scan)),
+        n_shots=info.default_shots,
+        sequence=info.sequence_defaults,
     )
-    try:  # surface builder errors (negative durations, overlong gates) now
-        for value in (start, stop):
-            info.build(value, **sequence)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sequence for preset {info.name!r}: {exc}") from None
+    given = data
+    if isinstance(data.get("detection"), dict) and "f_g_table" in data["detection"]:
+        given = {**data, "detection": {"f_g": None, **data["detection"]}}  # table replaces f_g
 
-    blockade_model = str(data.get("blockade_model", "full"))
-    _require(blockade_model in ("full", "projected"), f"unknown blockade model {blockade_model!r}")
-
+    values = _fields(given, defaults, "", nullable)
+    values.update(values.pop("noise", {}))
+    scan = {**defaults["scan"], **values.pop("scan", {})}
     cfg = ExperimentConfig(
-        preset=info.name,
-        scan=(start, stop, points),
-        n_shots=n_shots,
-        mode=mode,
-        master_seed=_integer(data.get("master_seed", 0), "master_seed"),
-        output_dir=str(data.get("output_dir", "runs")),
-        dt_max=dt_max,
-        atom=atom,
-        two_atom=two_atom,
-        detection=detection,
-        doppler=bool(noise.get("doppler", True)),
-        positions=bool(noise.get("positions", True)),
-        scattering=bool(noise.get("scattering", True)),
-        blackbody=bool(noise.get("blackbody", True)),
-        gamma_laser=float(noise.get("gamma_laser", 0.0)),
-        sigma_position_um=sigma_position_um,
-        sequence=sequence,
-        blockade_model=blockade_model,
-        ideal_pulses=bool(data.get("ideal_pulses", False)),
-        n_workers=n_workers,
+        **{"n_shots": info.default_shots, **values},
+        scan=(scan["start"], scan["stop"], scan["points"]),
         raw=data,
     )
+
+    start, stop, points = cfg.scan
+    _require(points >= 1, "scan needs at least one point")
+    _require(stop >= start, "scan stop must be >= start")
+    _require(cfg.n_shots >= 1, "n_shots must be >= 1")
+    _require(cfg.mode in ("expectation", "sampled"), f"unknown mode {cfg.mode!r}")
+    _require(cfg.dt_max > 0, "dt_max must be positive")
+    _require(cfg.sigma_position_um >= 0,
+             f"noise.sigma_position_um must be >= 0, got {cfg.sigma_position_um}")
+    worker_count(cfg.n_workers, "n_workers")
+    _require(cfg.blockade_model in ("full", "projected"),
+             f"unknown blockade model {cfg.blockade_model!r}")
+    try:  # surface builder errors (negative durations, overlong gates) now
+        for value in (start, stop):
+            info.build(value, **cfg.sequence)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sequence for preset {info.name!r}: {exc}") from None
     cfg.system()  # surface inconsistent model/noise combinations now
     return cfg
 

@@ -304,10 +304,6 @@ class _OperatorTable(NamedTuple):
             interaction = mhz_to_angular(system.two_atom.interaction_u_mhz) * double
             interaction.setflags(write=False)
 
-        if n == 2 and system.two_atom.k_eff_rad_per_um is not None:
-            wavevector = system.two_atom.k_eff_rad_per_um
-        else:
-            wavevector = effective_wavevector(system.atom)
         return cls(
             level_tuples=levels,
             labels=tuple("".join(t) for t in levels),
@@ -318,7 +314,7 @@ class _OperatorTable(NamedTuple):
             interaction=interaction,
             channels_drive=_channels(system, ops, drive_on=True),
             channels_idle=_channels(system, ops, drive_on=False),
-            wavevector=wavevector,
+            wavevector=effective_wavevector(system.atom),
             nominal_positions=(0.0,) if n == 1 else system.two_atom.positions_um,
         )
 

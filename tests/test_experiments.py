@@ -68,6 +68,8 @@ class TestConfigValidation:
             config_from_dict({"preset": "rabi", "scan": {"points": 0}})
         with pytest.raises(ConfigError):
             config_from_dict({"preset": "rabi", "scan": {"start": 2.0, "stop": 1.0}})
+        with pytest.raises(ConfigError, match="scan.stop must be finite"):
+            config_from_dict({"preset": "rabi", "scan": {"start": 0.1, "stop": math.inf}})
 
     @pytest.mark.parametrize("value", [2.7, True, "3"])
     def test_n_shots_must_be_integral(self, value):
@@ -357,8 +359,18 @@ class TestCli:
         ("rabi", "noise: {sigma_position_um: .nan}"),
         ("rabi", "n_workers: 0"),
         ("rabi", "n_workers: -4"),
+        ("rabi", "atom: {temperature_uk: .inf}"),
+        ("blockade_rabi", "two_atom: {positions_um: [0, .inf]}"),
+        ("blockade_rabi", "two_atom: {positions_um: [0]}"),
+        ("rabi", "noise: {gamma_laser: .inf}"),
+        ("rabi", 'noise: {doppler: "false"}'),
+        ("rabi", 'atom: {counter_propagating: "false"}'),
+        ("rabi", 'dt_max: "1e-3"'),
+        ("rabi", "atom: {t_blackbody_us: .inf, t_radiative_us: .inf}"),
     ], ids=["nan_gamma_laser", "nan_red_scatter", "nan_interaction", "negative_sigma_position",
-            "nan_sigma_position", "zero_workers", "negative_workers"])
+            "nan_sigma_position", "zero_workers", "negative_workers", "inf_temperature",
+            "inf_position", "one_position", "inf_gamma_laser", "string_doppler",
+            "string_counter_propagating", "string_dt_max", "both_lifetimes_infinite"])
     def test_bad_number_exits_1_without_traceback(self, tmp_path, capsys, preset_name, line):
         workers = "" if line.startswith("n_workers") else "n_workers: 1\n"
         config = tmp_path / "cfg.yaml"
@@ -372,10 +384,11 @@ class TestCli:
         assert "Traceback" not in err
 
     def test_workers_env_validated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RYDSIM_WORKERS", "not-a-number")
         config = tmp_path / "cfg.yaml"
         config.write_text("preset: rabi\nscan: {points: 2}\nn_shots: 1\n")
-        assert main(["run", str(config)]) == 1
+        for value in ("not-a-number", "0", "-3"):
+            monkeypatch.setenv("RYDSIM_WORKERS", value)
+            assert main(["run", str(config)]) == 1, value
 
 
 def unfittable_result(cfg, shape):

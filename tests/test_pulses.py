@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rydsim.atoms import AtomParams, rydberg_lifetime
+from rydsim.atoms import AtomParams, effective_wavevector, rydberg_lifetime
 from rydsim.blockade import TwoAtomParams
 from rydsim import preset
 from rydsim.dynamics import coherence, matrices_close, population
@@ -113,6 +113,12 @@ class TestCompile:
         accumulated = (phase - phase0) % (2 * math.pi)
         wrapped = min(accumulated, 2 * math.pi - accumulated)
         assert abs(wrapped - (0.2 * 5.0)) < 1e-2
+
+    @pytest.mark.parametrize("n_atoms", [1, 2])
+    def test_drive_phase_uses_the_atoms_wavevector(self, n_atoms):
+        # co-propagating beams: k = 21.16 rad/um, not the default atom's 8.757
+        atom = AtomParams(counter_propagating=False)
+        assert SystemModel(atom=atom, n_atoms=n_atoms).wavevector() == effective_wavevector(atom)
 
 
 class TestIdealPulses:
