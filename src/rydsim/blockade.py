@@ -12,6 +12,7 @@ back to gg.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +56,11 @@ class TwoAtomParams:
             raise ValueError(f"separation must be positive, got {self.separation_um}")
         if not (self.interaction_u_mhz > 0):
             raise ValueError(f"interaction must be positive, got {self.interaction_u_mhz}")
-        if self.positions_um is None:
-            object.__setattr__(self, "positions_um", (0.0, self.separation_um))
-        else:
-            object.__setattr__(self, "positions_um", tuple(self.positions_um))
-        if len(self.positions_um) != 2:
-            raise ValueError(f"positions_um needs two positions, got {self.positions_um}")
+        positions = self.positions_um
+        positions = (0.0, self.separation_um) if positions is None else tuple(positions)
+        if len(positions) != 2 or not all(isinstance(x, numbers.Real) for x in positions):
+            raise ValueError(f"positions_um needs two numbers, got {self.positions_um}")
+        object.__setattr__(self, "positions_um", positions)
 
 
 @dataclass(frozen=True)

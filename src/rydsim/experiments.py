@@ -146,7 +146,7 @@ def worker_count(value, name: str) -> int:
 
 
 def _number(value, name: str) -> float:
-    """A finite int or float. YAML reads 1e-3 (no dot) as a string, so it fails here."""
+    """A finite int or float. PyYAML reads 1e-3 (no dot) as a string, refused here."""
     _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
              f"{name} must be a number, got {value!r}")
     value = float(value)

@@ -362,6 +362,7 @@ class TestCli:
         ("rabi", "atom: {temperature_uk: .inf}"),
         ("blockade_rabi", "two_atom: {positions_um: [0, .inf]}"),
         ("blockade_rabi", "two_atom: {positions_um: [0]}"),
+        ("blockade_rabi", "two_atom: {positions_um: [[0], 1]}"),
         ("rabi", "noise: {gamma_laser: .inf}"),
         ("rabi", 'noise: {doppler: "false"}'),
         ("rabi", 'atom: {counter_propagating: "false"}'),
@@ -369,8 +370,9 @@ class TestCli:
         ("rabi", "atom: {t_blackbody_us: .inf, t_radiative_us: .inf}"),
     ], ids=["nan_gamma_laser", "nan_red_scatter", "nan_interaction", "negative_sigma_position",
             "nan_sigma_position", "zero_workers", "negative_workers", "inf_temperature",
-            "inf_position", "one_position", "inf_gamma_laser", "string_doppler",
-            "string_counter_propagating", "string_dt_max", "both_lifetimes_infinite"])
+            "inf_position", "one_position", "nested_position", "inf_gamma_laser",
+            "string_doppler", "string_counter_propagating", "string_dt_max",
+            "both_lifetimes_infinite"])
     def test_bad_number_exits_1_without_traceback(self, tmp_path, capsys, preset_name, line):
         workers = "" if line.startswith("n_workers") else "n_workers: 1\n"
         config = tmp_path / "cfg.yaml"
