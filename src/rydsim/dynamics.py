@@ -14,16 +14,19 @@ algebraically identical to stepping but costs O(log n) matrix products.
 
 Each segment is propagated in the smallest set of vec(rho) entries that
 holds the current state and that the Liouvillian M maps into itself (the
-closure of the state's support under M's nonzero pattern). The RK4 map is
-a polynomial in M, so every entry outside that set stays exactly zero and
-the restriction skips only zero-valued terms. The dark r' state makes it
-small: 5 of 9 entries for one atom starting in g, 25 of 81 for two atoms.
+closure of the state's support under the nonzero patterns of H and of the
+dissipator). The RK4 map is a polynomial in M, so every entry outside that
+set stays exactly zero and the restriction skips only zero-valued terms.
+The dark r' state makes it small: 5 of 9 entries for one atom starting in
+g, 25 of 81 for two atoms.
 
-On that set the state is held in real coordinates (Re rho_ii, and Re rho_ij
-and Im rho_ij for i < j), in which M is a real matrix of the same size, so
-the RK4 map is built and powered with real products (a 25x25 real product
-costs about half of a complex one). Two constant change-of-basis matrices,
-cached per set, carry M and the state into real coordinates and back.
+On that set the state is held in real coordinates x (Re rho_ii, and Re
+rho_ij and Im rho_ij for i < j), rho = sum_b x_b E_b. Column b of the real
+generator is -i[H, E_b] + D(E_b) in those coordinates, with the dissipator
+part cached beside the basis, so no d^2 x d^2 matrix is built per segment
+(``liouvillian`` builds the full complex M as the reference for tests).
+The RK4 map is built and powered with real products (a 25x25 real product
+costs about half of a complex one).
 
 Each segment's step is capped so that h*||H||inf and h*||D||inf (D the
 dissipator) stay at most 0.04: strong interactions and fast decays get
@@ -307,7 +310,11 @@ def dissipator_norm(channels: tuple) -> float:
 
 
 def liouvillian(hamiltonian, channels) -> np.ndarray:
-    """Superoperator M with vec(drho/dt) = M vec(rho), row-major vec."""
+    """Superoperator M with vec(drho/dt) = M vec(rho), row-major vec.
+
+    The full d^2 x d^2 complex reference; ``evolve`` builds its real
+    generator from H and the cached dissipator block instead.
+    """
     h = as_square_matrix(hamiltonian, "hamiltonian")
     d = h.shape[0]
     # -i (H (x) I - I (x) H^T), written entry by entry into the 4-index view
@@ -357,27 +364,26 @@ def _power_apply(r: np.ndarray, n: int, vec: np.ndarray) -> np.ndarray:
     return result
 
 
-def _nonzero_pattern(m: np.ndarray) -> bytes:
-    """``(m != 0).tobytes()`` for a complex matrix, compared as float pairs
-    (comparing complex numbers is several times slower)."""
-    parts = np.ascontiguousarray(m, dtype=complex).view(np.float64) != 0
-    return (parts.view(np.uint16) != 0).tobytes()
-
-
 @functools.lru_cache(maxsize=256)
-def _invariant_subspace(pattern: bytes, support: bytes) -> tuple[np.ndarray, tuple]:
-    """Indices reachable from ``support`` along the nonzero pattern of M.
+def _real_block(pattern: bytes, channels: tuple, support: bytes) -> tuple[np.ndarray, ...]:
+    """Real coordinates on the vec(rho) entries a segment can reach.
 
-    ``pattern`` is ``(M != 0).tobytes()`` and ``support`` is
-    ``(vec != 0).tobytes()``. The support is first closed under
-    (i, j) -> (j, i); M maps Hermitian matrices to Hermitian matrices, so
-    the reachable set stays closed. Returns the smallest such index set that
-    contains the support and that M maps into itself, and the ``np.ix_``
-    index of M's block on it.
+    ``pattern`` is ``(H != 0).tobytes()`` and ``support`` is
+    ``(vec != 0).tobytes()``. The support, closed under (i, j) -> (j, i), is
+    closed under the nonzero pattern of H (x) I, I (x) H^T and the
+    dissipator D, which contains M's pattern, so M maps the result into
+    itself. The coordinates are Re rho_ii, then Re rho_ij and Im rho_ij for
+    i < j (Havel, J. Math. Phys. 44, 534 (2003)). Returns the Hermitian basis
+    ``E`` (k x d x d) with rho = sum_b x_b E_b, the positions ``read`` of the
+    coordinates in ``vec.view(np.float64)`` and the dissipator's k x k real
+    generator ``g_d``.
     """
     n = len(support)
     dim = math.isqrt(n)
-    edges = np.frombuffer(pattern, dtype=bool).reshape(n, n)
+    h = np.frombuffer(pattern, dtype=bool).reshape(dim, dim)
+    eye = np.eye(dim, dtype=bool)
+    dissipator = dissipator_superop(channels) if channels else np.zeros((n, n), dtype=complex)
+    edges = _kron(h, eye) | _kron(eye, h.T) | (dissipator != 0)
     start = np.frombuffer(support, dtype=bool).reshape(dim, dim)
     reached = (start | start.T).reshape(-1)
     frontier = reached
@@ -385,41 +391,24 @@ def _invariant_subspace(pattern: bytes, support: bytes) -> tuple[np.ndarray, tup
         frontier = edges[:, frontier].any(axis=1) & ~reached
         reached |= frontier
     idx = np.flatnonzero(reached)
-    idx.setflags(write=False)
-    return idx, np.ix_(idx, idx)
-
-
-@functools.lru_cache(maxsize=256)
-def _real_coordinates(entries: bytes, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Change of basis between Hermitian vec(rho) entries and real coordinates.
-
-    ``entries`` is an index array from ``_invariant_subspace`` as bytes (a
-    set closed under (i, j) -> (j, i)). The coordinates are Re rho_ii, then
-    Re rho_ij and Im rho_ij for i < j (Havel, J. Math. Phys. 44, 534 (2003)).
-    Returns the k x k complex matrices ``to_real`` and ``to_vec``, with
-    ``x = Re(to_real @ v)`` and ``v = to_vec @ x`` for v the entries of a
-    Hermitian vec(rho). The generator ``Re(to_real @ M @ to_vec)`` is real,
-    and its RK4 map is the complex one restricted to Hermitian states.
-    """
-    idx = np.frombuffer(entries, dtype=np.intp)
     rows, cols = np.divmod(idx, dim)
-    diag = np.flatnonzero(rows == cols)
-    upper = np.flatnonzero(rows < cols)
-    lower = np.searchsorted(idx, cols[upper] * dim + rows[upper])
+    diag, upper = idx[rows == cols], idx[rows < cols]
+    lower = (upper % dim) * dim + upper // dim
     nd, nu = len(diag), len(upper)
     k = nd + 2 * nu
     re, im = nd + np.arange(nu), nd + nu + np.arange(nu)
-    # row a reads one entry: its real part, or Re(-i z) = Im z
-    to_real = np.zeros((k, k), dtype=complex)
-    to_real[np.arange(k), np.r_[diag, upper, upper]] = np.repeat([1, 1, -1j], [nd, nu, nu])
-    # Re rho_ij writes 1 at ij and ji; Im rho_ij writes i at ij and -i at ji
-    to_vec = np.zeros((k, k), dtype=complex)
-    to_vec[diag, np.arange(nd)] = 1
-    to_vec[upper, re] = to_vec[lower, re] = 1
-    to_vec[upper, im], to_vec[lower, im] = 1j, -1j
-    to_real.setflags(write=False)
-    to_vec.setflags(write=False)
-    return to_real, to_vec
+    # Re rho_ij is 1 at ij and ji; Im rho_ij is i at ij and -i at ji
+    basis = np.zeros((k, n), dtype=complex)
+    basis[np.arange(nd), diag] = 1
+    basis[re, upper] = basis[re, lower] = 1
+    basis[im, upper], basis[im, lower] = 1j, -1j
+    read = np.r_[2 * diag, 2 * upper, 2 * upper + 1]
+    # einsum, not @: a BLAS product of this size starts OpenBLAS threads
+    g_d = np.einsum("rs,bs->br", dissipator, basis).view(np.float64)[:, read].T.copy()
+    basis = basis.reshape(k, dim, dim)
+    for a in (basis, read, g_d):
+        a.setflags(write=False)
+    return basis, read, g_d
 
 
 def evolve(
@@ -457,9 +446,8 @@ def evolve(
     vec = np.ascontiguousarray(rho0.matrix.reshape(-1), dtype=complex)
     t = 0.0
 
-    def emit(time: float, idx: np.ndarray, to_vec: np.ndarray, x: np.ndarray) -> np.ndarray:
-        v = np.zeros(dim * dim, dtype=complex)
-        v[idx] = to_vec @ x
+    def emit(time: float, basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+        v = x @ basis.reshape(len(x), -1)
         v.setflags(write=False)
         m = v.reshape(dim, dim)
         if not np.isfinite(v).all():
@@ -486,15 +474,15 @@ def evolve(
         h_cap = dt_max if rate == 0.0 else min(dt_max, STEP_NORM_PRODUCT / rate)
         n_steps = max(1, math.ceil(seg.duration / h_cap))
         h = seg.duration / n_steps
-        m = liouvillian(seg.hamiltonian, channels)
-        idx, ix = _invariant_subspace(_nonzero_pattern(m), (vec != 0).tobytes())
-        to_real, to_vec = _real_coordinates(idx.tobytes(), dim)
-        step = rk4_map((to_real @ m[ix] @ to_vec).real, h)
-        x = (to_real @ vec[idx]).real
+        ham = seg.hamiltonian
+        basis, read, g_d = _real_block((ham != 0).tobytes(), channels, (vec != 0).tobytes())
+        g_h = (-1j * (ham @ basis - basis @ ham)).reshape(len(read), -1).view(np.float64)[:, read]
+        step = rk4_map(g_h.T + g_d, h)
+        x = vec.view(np.float64)[read]
         chunk = n_steps if sample_dt is None else max(1, round(sample_dt / h))
         ends = [*range(chunk, n_steps, chunk), n_steps]
         for start, end in zip([0, *ends], ends):
             x = _power_apply(step, end - start, x)
-            vec = emit(t + (seg.duration if end == n_steps else end * h), idx, to_vec, x)
+            vec = emit(t + (seg.duration if end == n_steps else end * h), basis, x)
         t += seg.duration
     return trajectory

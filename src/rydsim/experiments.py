@@ -34,7 +34,9 @@ from .fitting import fit_cosine, fit_damped_cosine, fit_decay
 from .montecarlo import (
     DEFAULT_SIGMA_POSITION_UM, EnsembleResult, EnsembleSpec, run_ensemble, shot_seed,
 )
-from .pulses import GlobalDrive, PulseSequence, SystemModel, collective_pi_time
+from .pulses import (
+    GlobalDrive, PulseSequence, SystemModel, collective_pi_time, compile_sequence,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -256,11 +258,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _require(cfg.blockade_model in ("full", "projected"),
              f"unknown blockade model {cfg.blockade_model!r}")
     try:  # surface builder errors (negative durations, overlong gates) now
-        for value in (start, stop):
-            info.build(value, **cfg.sequence)
+        sequences = [info.build(value, **cfg.sequence) for value in (start, stop)]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad sequence for preset {info.name!r}: {exc}") from None
-    cfg.system()  # surface inconsistent model/noise combinations now
+    system = cfg.system()  # surface inconsistent model/noise combinations now
+    if info.name == "parity_scan":  # its analysis also runs the Bell-prep pulse
+        sequences.append(_bell_prep_sequence(cfg.params["rabi_mhz"]))
+    try:  # a tabulated f_g must cover every trap-off time
+        for seq in sequences if cfg.detection else ():
+            compiled = compile_sequence(seq, system, ideal_pulses=cfg.ideal_pulses)
+            cfg.detection.fg_at(compiled.total_duration)
+    except ValueError as exc:
+        raise ConfigError(f"detection.f_g_table: {exc}") from None
     return cfg
 
 
@@ -423,15 +432,14 @@ def _analyze_blockade(cfg: ExperimentConfig, res: EnsembleResult) -> list[Derive
     ]
 
 
+def _bell_prep_sequence(rabi_mhz: float) -> PulseSequence:
+    """The collective pi pulse that prepares the Bell state the parity scan reads."""
+    return PulseSequence((GlobalDrive(collective_pi_time(rabi_mhz), rabi_mhz),), n_atoms=2)
+
+
 def _bell_prep_probabilities(cfg: ExperimentConfig) -> EnsembleResult:
-    rabi = cfg.params["rabi_mhz"]
-
-    def build(_value: float) -> PulseSequence:
-        return PulseSequence(
-            (GlobalDrive(collective_pi_time(rabi), rabi),), n_atoms=2
-        )
-
-    spec = dataclasses.replace(cfg.ensemble_spec(), build=build)
+    seq = _bell_prep_sequence(cfg.params["rabi_mhz"])
+    spec = dataclasses.replace(cfg.ensemble_spec(), build=lambda _value: seq)
     # a master seed of its own (scan index -1, which no scan point has), so
     # these shots do not repeat the noise draws of parity point 0
     seed = shot_seed(cfg.master_seed, -1, 0) >> 1

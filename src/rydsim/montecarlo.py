@@ -107,10 +107,10 @@ _LEVELS_BY_LABEL = {
 }
 
 
-def _check_distribution(p: np.ndarray) -> None:
+def _check_distribution(p: np.ndarray, error: type[Exception] = ValueError) -> None:
     total = p.sum()
     if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"input distribution sums to {total}, not 1")
+        raise error(f"distribution sums to {total}, not 1")
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,8 @@ def _run_scan_point(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         duration = compiled.total_duration
         rho = run_compiled(compiled, rho0, dt_max=spec.dt_max)
         populations = population_vector(rho)
-        _check_distribution(populations)
+        # a state within evolve's looser TRACE_TOL can still fail this check
+        _check_distribution(populations, FloatingPointError)
         raw = PERFECT_DETECTION.confusion_matrix(levels, duration) @ populations
         raw_sum += raw
         if spec.detection is None:

@@ -162,9 +162,12 @@ class TestEvolveInvariants:
             np.testing.assert_allclose(final, u @ rho0.matrix @ u.conj().T, atol=1e-8)
 
 
-def full_space(pattern, support):
-    idx = np.arange(len(support))
-    return idx, np.ix_(idx, idx)
+real_block = dynamics._real_block
+
+
+def full_space(pattern, channels, support):
+    """``_real_block`` closed from an all-true support: every vec(rho) entry."""
+    return real_block(pattern, channels, b"\x01" * len(support))
 
 
 def compiled_shot(preset, value, **config):
@@ -200,7 +203,7 @@ class TestInvariantSubspace:
     def test_matches_full_space_propagation(self, monkeypatch, preset, value, sample_dt):
         system, compiled = compiled_shot(preset, value, noise={"gamma_laser": 0.1})
         restricted = self.trajectory(system, compiled, sample_dt)
-        monkeypatch.setattr(dynamics, "_invariant_subspace", full_space)
+        monkeypatch.setattr(dynamics, "_real_block", full_space)
         full = self.trajectory(system, compiled, sample_dt)
         assert restricted.shape == full.shape
         assert len(full) > len(compiled.segments) or sample_dt is None
@@ -216,10 +219,9 @@ class TestInvariantSubspace:
         rho = system.initial_state()
         sizes = set()
         for step in compiled.steps:
-            m = liouvillian(step.segment.hamiltonian, step.channels)
-            vec = rho.matrix.reshape(-1)
-            idx, _ = dynamics._invariant_subspace((m != 0).tobytes(), (vec != 0).tobytes())
-            sizes.add((len(idx), m.shape[0]))
+            h, vec = step.segment.hamiltonian, rho.matrix.reshape(-1)
+            _, read, _ = real_block((h != 0).tobytes(), step.channels, (vec != 0).tobytes())
+            sizes.add((len(read), vec.size))
             rho = evolve(rho, [step.segment], step.channels)[-1][1]
         assert sizes == {(kept, total)}
 
@@ -260,22 +262,21 @@ class TestRealCoordinates:
     def test_generator_is_real_and_states_hermitian(self):
         system, compiled = compiled_shot("w_echo", 4.0, noise={"gamma_laser": 0.1})
         step = compiled.steps[0]
-        m = liouvillian(step.segment.hamiltonian, step.channels)
+        h, channels = step.segment.hamiltonian, step.channels
+        m = liouvillian(h, channels)
         vec = system.initial_state().matrix.reshape(-1)
-        idx, ix = dynamics._invariant_subspace((m != 0).tobytes(), (vec != 0).tobytes())
-        to_real, to_vec = dynamics._real_coordinates(idx.tobytes(), system.dim)
+        basis, read, g_d = real_block((h != 0).tobytes(), channels, (vec != 0).tobytes())
+        k = len(read)
 
         def state(x):
-            v = np.zeros(system.dim**2, dtype=complex)
-            v[idx] = to_vec @ x
-            return v
+            return x @ basis.reshape(k, -1)
 
-        gen = (to_real @ m[ix] @ to_vec).real
-        assert gen.dtype == np.float64 and gen.shape == (len(idx), len(idx))
-        x = (to_real @ vec[idx]).real
+        gen = (-1j * (h @ basis - basis @ h)).reshape(k, -1).view(np.float64)[:, read].T + g_d
+        assert gen.dtype == np.float64 and gen.shape == (k, k)
+        x = vec.view(np.float64)[read]
         # one Euler step in real coordinates is M vec read in real coordinates
         np.testing.assert_allclose(state(gen @ x), m @ vec, atol=1e-14)
-        rho = state(np.arange(len(idx), dtype=float)).reshape(9, 9)
+        rho = state(np.arange(k, dtype=float)).reshape(9, 9)
         np.testing.assert_array_equal(rho, rho.conj().T)
 
 

@@ -111,6 +111,7 @@ class TestConfigValidation:
             {
                 "preset": "rabi",
                 "detection": {"f_r": 0.96, "f_g_table": [[0, 0.99], [4, 0.99], [8, 0.955]]},
+                "scan": {"stop": 8.0},  # the table must cover every trap-off time
             }
         )
         assert cfg.detection.fg_at(6.0) == pytest.approx(0.9725)
@@ -312,6 +313,15 @@ class TestCli:
         assert err.startswith("numerical failure:")
         assert "Traceback" not in err
 
+        # rounding over 1e11 steps moves the trace by ~4e-7: inside the
+        # integrator's TRACE_TOL, outside the per-shot 1e-9 sum check
+        monkeypatch.undo()
+        config.write_text(config.read_text() + "dt_max: 1.0e-12\n")
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "Traceback" not in err
+
     def test_strong_dephasing_converges(self, tmp_path):
         # the step cap counts the dissipator, so RK4 stays stable at this rate
         config = tmp_path / "cfg.yaml"
@@ -339,7 +349,10 @@ class TestCli:
         ("rabi", "sequence: {crosstalk_fraction: 0.1}"),
         ("rabi", "scan: {start: -0.2, stop: 0.2, points: 2}"),
         ("phase_gate_echo", "scan: {start: 0, stop: 1.5, points: 2}"),
-    ], ids=["unknown_parameter", "negative_duration", "gate_exceeds_arm"])
+        ("rabi", "detection: {f_g_table: [[0, 0.99], [0.05, 0.98]]}"),
+        ("parity_scan", "detection: {f_g_table: [[0.2, 0.99], [0.8, 0.98]]}"),
+    ], ids=["unknown_parameter", "negative_duration", "gate_exceeds_arm", "short_f_g_table",
+            "f_g_table_misses_bell_prep"])
     def test_bad_sequence_exits_1_without_traceback(self, tmp_path, capsys, preset_name, line):
         config = tmp_path / "cfg.yaml"
         config.write_text(
