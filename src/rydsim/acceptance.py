@@ -43,11 +43,11 @@ class CheckResult:
     seconds: float
 
 
-def _run(config: dict, return_shots: bool = False):
+def _run(config: dict):
     """A preset's config at seed 7 without detection errors, and its scan."""
     cfg = config_from_dict({"master_seed": 7, "detection": None, **config})
     res = run_ensemble(cfg.ensemble_spec(), cfg.scan_values(), cfg.n_shots,
-                       master_seed=cfg.master_seed, return_shots=return_shots)
+                       master_seed=cfg.master_seed)
     return cfg, res
 
 
@@ -152,12 +152,9 @@ def check_parity_oracle() -> tuple[bool, str]:
 
 def check_w_echo() -> tuple[bool, str]:
     # refocusing: Doppler + position noise only, projected model, fast pulses
-    _, res = _run(
-        {"preset": "w_echo", "blockade_model": "projected",
-         "noise": {"scattering": False, "blackbody": False}, "ideal_pulses": True,
-         "scan": {"start": 4.0, "stop": 20.0, "points": 2}, "n_shots": 50},
-        return_shots=True,
-    )
+    _, res = _run({"preset": "w_echo", "blockade_model": "projected",
+                   "noise": {"scattering": False, "blackbody": False}, "ideal_pulses": True,
+                   "scan": {"start": 4.0, "stop": 20.0, "points": 2}, "n_shots": 50})
     worst = float(1.0 - res.per_shot[:, :, 0].min())
     ok_immune = worst <= 1e-5
 

@@ -198,17 +198,16 @@ class DetectionModel:
     def fg_at(self, trap_off_time_us: float) -> float:
         if self.f_g is not None:
             return self.f_g
-        times = [t for t, _ in self.f_g_table]
-        values = [f for _, f in self.f_g_table]
-        if not times[0] <= trap_off_time_us <= times[-1]:
+        table = self.f_g_table
+        if not table[0][0] <= trap_off_time_us <= table[-1][0]:
             raise ValueError(
                 f"trap-off time {trap_off_time_us} us outside table range "
-                f"[{times[0]}, {times[-1]}] (no extrapolation)"
+                f"[{table[0][0]}, {table[-1][0]}] (no extrapolation)"
             )
-        for (t0, f0), (t1, f1) in zip(self.f_g_table, self.f_g_table[1:]):
+        for (t0, f0), (t1, f1) in zip(table, table[1:]):
             if trap_off_time_us <= t1:
-                return f0 + (f1 - f0) * (trap_off_time_us - t0) / (t1 - t0)
-        return values[-1]
+                break
+        return f0 + (f1 - f0) * (trap_off_time_us - t0) / (t1 - t0)
 
     def recapture_probability(self, level: str, trap_off_time_us: float = 0.0) -> float:
         if level == "g":

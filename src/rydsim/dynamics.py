@@ -58,7 +58,6 @@ __all__ = [
     "LindbladChannel",
     "Segment",
     "population",
-    "population_vector",
     "coherence",
     "apply_unitary",
     "liouvillian",
@@ -82,10 +81,12 @@ STEP_NORM_PRODUCT = 0.04
 
 
 def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a complex square ndarray, raising on anything else."""
+    """Coerce to a finite complex square ndarray, raising on anything else."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
     return a
 
 
@@ -214,8 +215,8 @@ class LindbladChannel:
     @classmethod
     def from_rate(cls, rate: float, operator) -> "LindbladChannel":
         """Build sqrt(rate) * operator from a rate in 1/us."""
-        if rate < 0:
-            raise ValueError(f"negative rate {rate}")
+        if not 0 <= rate < math.inf:
+            raise ValueError(f"rate must be nonnegative and finite, got {rate}")
         return cls(math.sqrt(rate) * as_square_matrix(operator))
 
 
@@ -230,8 +231,8 @@ class Segment:
         h = as_square_matrix(self.hamiltonian, "hamiltonian").copy()
         h.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
-        if not (self.duration >= 0):
-            raise ValueError(f"negative duration {self.duration}")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be nonnegative and finite, got {self.duration}")
         require_hermitian(h, HERMITICITY_TOL, "segment hamiltonian")
 
     @property
@@ -250,18 +251,6 @@ def population(rho: DensityMatrix, label: str) -> float:
     if p < -POSITIVITY_TOL or p > 1.0 + POSITIVITY_TOL:
         raise ValueError(f"population of {label!r} is {p}, outside tolerance")
     return min(max(p, 0.0), 1.0)
-
-
-def population_vector(rho: DensityMatrix) -> np.ndarray:
-    """All populations in basis order, checked and clamped as ``population``."""
-    p = rho.matrix.diagonal().real
-    bad = (p < -POSITIVITY_TOL) | (p > 1.0 + POSITIVITY_TOL)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"population of {rho.basis_labels[i]!r} is {p[i]}, outside tolerance"
-        )
-    return np.clip(p, 0.0, 1.0)
 
 
 def coherence(rho: DensityMatrix, label_a: str, label_b: str) -> complex:
@@ -432,8 +421,10 @@ def evolve(
     when a returned state is not finite, not Hermitian, has lost its trace
     or its positivity.
     """
-    if dt_max <= 0:
+    if not dt_max > 0:
         raise ValueError(f"dt_max must be positive, got {dt_max}")
+    if sample_dt is not None and not 0 < sample_dt < math.inf:
+        raise ValueError(f"sample_dt must be positive and finite, got {sample_dt}")
     channels = tuple(channels)
     dim = rho0.dim
     labels = rho0.basis_labels

@@ -692,16 +692,6 @@ class RunManifest:
     derived: list[DerivedScalar]
     data_file: str
 
-    def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "artifact_version": self.artifact_version,
-            "duration_s": self.duration_s,
-            "config": self.config,
-            "derived": [asdict(s) for s in self.derived],
-            "data_file": self.data_file,
-        }
-
 
 def _format(x: float) -> str:
     return f"{x:.12g}"
@@ -783,7 +773,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> RunManifest:
     )
     manifest_file = outdir / f"{cfg.preset}_manifest.json"
     manifest_file.write_text(
-        json.dumps(_jsonify(manifest.to_dict()), indent=2) + "\n", encoding="utf-8"
+        json.dumps(_jsonify(asdict(manifest)), indent=2) + "\n", encoding="utf-8"
     )
     if not quiet:
         for s in derived:

@@ -49,10 +49,6 @@ class FitResult:
     n_iterations: int
 
     @property
-    def tau_us(self) -> float:
-        return self.params.get("tau_us", math.inf)
-
-    @property
     def no_decay(self) -> bool:
         rate = self.params.get("rate_per_us")
         return rate is not None and rate <= NO_DECAY_RATE
@@ -84,7 +80,7 @@ def _gauss_newton(model_jac, p0, max_iter=MAX_ITERATIONS):
     iterations = 0
     for iterations in range(1, max_iter + 1):
         grad = jac.T @ r
-        gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
+        gnorm = float(np.max(np.abs(grad)))
         if gnorm < GRADIENT_TOL * (1.0 + cost):
             converged = True
             break
@@ -138,8 +134,6 @@ def spectral_peak(t, y) -> float:
         raise ValueError("spectral peak requires uniform sampling")
     centered = y - np.mean(y)
     spectrum = np.abs(np.fft.rfft(centered))
-    if spectrum.size < 2:
-        raise ValueError("too few samples for a spectral estimate")
     peak_bin = int(np.argmax(spectrum[1:])) + 1
     if spectrum[peak_bin] <= 1e-12 * (np.max(np.abs(centered)) * y.size + 1e-300):
         raise ValueError("no dominant frequency: signal is constant")

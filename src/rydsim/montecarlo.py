@@ -1,16 +1,18 @@
 """Monte Carlo ensembles over Doppler and position noise.
 
 Each shot draws a static per-atom Doppler detuning and position offset,
-compiles the scan point's sequence against that draw, integrates the
-master equation, and pushes the final populations through the detection
-channel. Shots are seeded individually from (master_seed, scan_index,
-shot_index) with a stable hash, so results are bit-identical regardless of
-execution order or worker count.
+compiles the scan point's sequence against that draw and integrates the
+master equation. Shots are seeded individually from (master_seed,
+scan_index, shot_index) with a stable hash, so results are bit-identical
+regardless of execution order or worker count.
 
-Detection is ``DetectionModel.confusion_matrix``, from basis states to
-measured recapture patterns. A shot's detected distribution is that matrix
-times its populations; ``apply_detection`` applies the same matrix to a
-labeled distribution.
+Everything after the propagation runs once per scan point on the stacked
+(n_shots, d) final populations: the range and sum checks (a failure raises
+``FloatingPointError``), detection, normalisation, the sampled-mode draws
+(each from its own shot's generator) and the shot average. Detection is
+``DetectionModel.confusion_matrix``, from basis states to measured
+recapture patterns, times each shot's populations; ``apply_detection``
+applies the same matrix to a labeled distribution.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .atoms import SINGLE_ATOM_LEVELS, DetectionModel, PERFECT_DETECTION, doppler_sigma
-from .dynamics import DEFAULT_DT_MAX, population_vector
+from .dynamics import DEFAULT_DT_MAX, POSITIVITY_TOL
 from .pulses import (
     NoiseSample,
     PulseSequence,
@@ -108,8 +110,9 @@ _LEVELS_BY_LABEL = {
 
 
 def _check_distribution(p: np.ndarray, error: type[Exception] = ValueError) -> None:
-    total = p.sum()
-    if abs(total - 1.0) > 1e-9:
+    totals = np.atleast_1d(p.sum(axis=-1))  # one total per distribution
+    total = totals[np.argmax(np.abs(totals - 1.0))]
+    if not abs(total - 1.0) <= 1e-9:
         raise error(f"distribution sums to {total}, not 1")
 
 
@@ -154,7 +157,8 @@ class EnsembleResult:
     n_shots: int
     mode: str
     master_seed: int
-    per_shot: np.ndarray | None = None  # (n_scan, n_shots, n_outcomes) if requested
+    # (n_scan, n_shots, n_outcomes), detection-adjusted; always set by run_ensemble
+    per_shot: np.ndarray | None = None
 
     def column(self, outcome: str) -> np.ndarray:
         return self.probabilities[:, self.outcomes.index(outcome)]
@@ -163,57 +167,56 @@ class EnsembleResult:
         return self.raw_probabilities[:, self.outcomes.index(outcome)]
 
 
-def wilson_interval(p_hat: float, n: int, z: float = 1.0) -> tuple[float, float]:
-    """Wilson score interval; z = 1 gives the 68% band used for error bars."""
+def wilson_interval(p_hat: float | np.ndarray, n: int, z: float = 1.0):
+    """Elementwise Wilson score interval; z = 1 gives the 68% band for error bars."""
     if n <= 0:
         raise ValueError("need at least one shot")
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2 * n)) / denom
     half = z * np.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n)) / denom
-    return max(center - half, 0.0), min(center + half, 1.0)
+    return np.maximum(center - half, 0.0), np.minimum(center + half, 1.0)
 
 
 def _run_scan_point(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (spec, value, scan_index, n_shots, mode, master_seed) = args
     system = spec.system
-    levels = system.level_tuples
-    n_outcomes = 2 ** system.n_atoms
-    sigma_d = spec.doppler_width()
     rho0 = system.initial_state()
     seq = spec.build(value)
 
-    shots = np.empty((n_shots, n_outcomes))
-    raw_sum = np.zeros(n_outcomes)
-    counts = np.zeros(n_outcomes)
+    # the shot loop only draws, compiles and propagates; each shot keeps its
+    # generator for its sampled-mode draw
+    rngs = []
+    p = np.empty((n_shots, system.dim))
     for shot in range(n_shots):
-        rng = np.random.Generator(
-            np.random.PCG64(shot_seed(master_seed, scan_index, shot))
-        )
-        noise = sample_noise(sigma_d, spec.sigma_position_um, system.n_atoms, rng)
+        rng = np.random.default_rng(shot_seed(master_seed, scan_index, shot))
+        noise = sample_noise(spec.doppler_width(), spec.sigma_position_um, system.n_atoms, rng)
         compiled = compile_sequence(seq, system, noise, ideal_pulses=spec.ideal_pulses)
-        duration = compiled.total_duration
-        rho = run_compiled(compiled, rho0, dt_max=spec.dt_max)
-        populations = population_vector(rho)
-        # a state within evolve's looser TRACE_TOL can still fail this check
-        _check_distribution(populations, FloatingPointError)
-        raw = PERFECT_DETECTION.confusion_matrix(levels, duration) @ populations
-        raw_sum += raw
-        if spec.detection is None:
-            vec = raw
-        else:
-            vec = spec.detection.confusion_matrix(levels, duration) @ populations
-        # tiny negatives can appear at the populations' clamp boundary
-        vec = np.clip(vec, 0.0, None)
-        vec /= vec.sum()
-        shots[shot] = vec
-        if mode == "sampled":
-            drawn = rng.choice(n_outcomes, p=vec)
-            counts[drawn] += 1.0
+        p[shot] = run_compiled(compiled, rho0, dt_max=spec.dt_max).matrix.diagonal().real
+        rngs.append(rng)
+
+    bad = (p < -POSITIVITY_TOL) | (p > 1.0 + POSITIVITY_TOL)
+    if bad.any():
+        shot, i = np.argwhere(bad)[0]
+        raise FloatingPointError(
+            f"population of {system.basis_labels[i]!r} is {p[shot, i]}, outside tolerance"
+        )
+    p = np.clip(p, 0.0, 1.0)
+    # a state within evolve's looser TRACE_TOL can still fail this check
+    _check_distribution(p, FloatingPointError)
+    # every shot of a point has the same segment durations; C @ p per shot
+    # rounds like a single shot's product (p @ C.T does not)
+    levels, duration = system.level_tuples, compiled.total_duration
+    raw, shots = (
+        (d.confusion_matrix(levels, duration) @ p[:, :, None])[..., 0]
+        for d in (PERFECT_DETECTION, spec.detection or PERFECT_DETECTION)
+    )
+    shots /= shots.sum(axis=1, keepdims=True)
     if mode == "sampled":
-        probs = counts / n_shots
+        drawn = [rng.choice(len(vec), p=vec) for rng, vec in zip(rngs, shots)]
+        probs = np.bincount(drawn, minlength=shots.shape[1]) / n_shots
     else:
         probs = shots.mean(axis=0)
-    return probs, raw_sum / n_shots, shots
+    return probs, raw.mean(axis=0), shots
 
 
 def run_ensemble(
@@ -223,7 +226,6 @@ def run_ensemble(
     mode: str = "expectation",
     master_seed: int = 0,
     n_workers: int = 1,
-    return_shots: bool = False,
 ) -> EnsembleResult:
     """Run the scan: one noise draw and evolution per (scan value, shot).
 
@@ -252,17 +254,8 @@ def run_ensemble(
     else:
         results = [_run_scan_point(task) for task in tasks]
 
-    probs = np.vstack([r[0] for r in results])
-    raw = np.vstack([r[1] for r in results])
-    ci_low = np.empty_like(probs)
-    ci_high = np.empty_like(probs)
-    for i in range(probs.shape[0]):
-        for j in range(probs.shape[1]):
-            ci_low[i, j], ci_high[i, j] = wilson_interval(probs[i, j], n_shots)
-
-    per_shot = None
-    if return_shots:
-        per_shot = np.stack([r[2] for r in results])
+    probs, raw, per_shot = (np.stack(r) for r in zip(*results))
+    ci_low, ci_high = wilson_interval(probs, n_shots)
     return EnsembleResult(
         scan_values=values,
         outcomes=outcomes,

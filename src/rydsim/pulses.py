@@ -363,7 +363,6 @@ class CompiledStep:
 @dataclass(frozen=True)
 class CompiledSequence:
     steps: tuple[CompiledStep, ...]
-    basis_labels: tuple[str, ...]
 
     @property
     def segments(self) -> tuple[Segment, ...]:
@@ -411,7 +410,7 @@ def compile_sequence(
         else:
             segment = Segment(system.hamiltonian(el, noise), el.duration)
             steps.append(CompiledStep(system.channels(drive_on=drive), segment=segment))
-    return CompiledSequence(tuple(steps), system.basis_labels)
+    return CompiledSequence(tuple(steps))
 
 
 def run_compiled(

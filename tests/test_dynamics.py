@@ -325,6 +325,36 @@ class TestStateAccessors:
         assert apply_unitary(rho, u).population("r") == 1.0
 
 
+class TestNonFiniteArguments:
+    """NaN, infinite and non-positive arguments fail where they enter, naming the argument."""
+
+    def test_segment_rejects_nan_hamiltonian(self):
+        with pytest.raises(ValueError, match="hamiltonian has non-finite entries"):
+            Segment(np.full((2, 2), np.nan), 1.0)
+        with pytest.raises(ValueError, match="duration must be nonnegative and finite, got inf"):
+            Segment(np.zeros((2, 2)), math.inf)
+
+    def test_density_matrix_rejects_nan(self):
+        with pytest.raises(ValueError, match="density matrix has non-finite entries"):
+            DensityMatrix(np.full((2, 2), np.nan), GR_BASIS)
+
+    def test_channel_rejects_nan_rate(self):
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"rate must be nonnegative and finite, got {rate}"):
+                LindbladChannel.from_rate(rate, np.diag([1.0, 0.0]))
+
+    def test_evolve_rejects_bad_sample_dt(self):
+        rho0 = DensityMatrix.pure("g", GR_BASIS)
+        for sample_dt in (-1.0, math.inf):
+            with pytest.raises(ValueError, match=f"sample_dt must be positive and finite, got {sample_dt}"):
+                evolve(rho0, [Segment(drive_hamiltonian(2.0, 2), 0.01)], sample_dt=sample_dt)
+
+    def test_evolve_rejects_nan_dt_max(self):
+        rho0 = DensityMatrix.pure("g", GR_BASIS)
+        with pytest.raises(ValueError, match="dt_max must be positive, got nan"):
+            evolve(rho0, [Segment(drive_hamiltonian(2.0, 2), 0.01)], dt_max=math.nan)
+
+
 class TestMatrixHelpers:
     def test_matrices_close_uses_tolerance(self):
         a = np.zeros((2, 2))

@@ -322,6 +322,22 @@ class TestCli:
         assert err.startswith("numerical failure:")
         assert "Traceback" not in err
 
+        # without noise the same rounding leaves a population above
+        # 1 + POSITIVITY_TOL, which the stacked range check reports
+        config.write_text(
+            "preset: rabi\n"
+            "n_shots: 1\n"
+            "n_workers: 1\n"
+            "scan: {start: 0.5, stop: 0.5, points: 1}\n"
+            "dt_max: 1.0e-12\n"
+            "noise: {doppler: false, positions: false, scattering: false, blackbody: false}\n"
+            f"output_dir: {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: population of 'g'")
+        assert "Traceback" not in err
+
     def test_strong_dephasing_converges(self, tmp_path):
         # the step cap counts the dissipator, so RK4 stays stable at this rate
         config = tmp_path / "cfg.yaml"

@@ -13,6 +13,7 @@ from rydsim.atoms import (
 )
 from rydsim import preset
 from rydsim.blockade import TwoAtomParams
+from rydsim.experiments import config_from_dict
 from rydsim.fitting import fit_damped_cosine
 from rydsim.montecarlo import (
     EnsembleSpec,
@@ -207,7 +208,7 @@ class TestRunEnsemble:
         system = SystemModel(atom=AtomParams(), n_atoms=1, scattering=False,
                              blackbody=False)
         spec = make_spec("spin_echo", "gap", system, ideal_pulses=True)
-        res = run_ensemble(spec, [4.0, 16.0], n_shots=30, return_shots=True)
+        res = run_ensemble(spec, [4.0, 16.0], n_shots=30)
         p_g = res.per_shot[:, :, res.outcomes.index("g")]
         assert np.all(p_g >= 1.0 - 1e-6)
 
@@ -217,7 +218,7 @@ class TestRunEnsemble:
             blockade_model="projected", scattering=False, blackbody=False,
         )
         spec = make_spec("w_echo", "gap", system, ideal_pulses=True)
-        res = run_ensemble(spec, [6.0], n_shots=25, return_shots=True)
+        res = run_ensemble(spec, [6.0], n_shots=25)
         p_gg = res.per_shot[:, :, res.outcomes.index("gg")]
         assert np.all(p_gg >= 1.0 - 1e-5)
 
@@ -261,6 +262,44 @@ class TestRunEnsemble:
             run_ensemble(spec, [0.1], n_shots=1, mode="bogus")
         with pytest.raises(ValueError):
             run_ensemble(spec, [0.1], n_shots=0)
+
+
+class TestReplay:
+    """Each shot rebuilt from the public pieces, one at a time."""
+
+    @pytest.mark.parametrize("preset_name", ["rabi", "blockade_rabi"])
+    @pytest.mark.parametrize("mode", ["expectation", "sampled"])
+    @pytest.mark.parametrize("detection", [{}, {"detection": None}], ids=["detected", "null"])
+    def test_matches_shot_by_shot_replay(self, preset_name, mode, detection):
+        n_shots, seed = 4, 5
+        cfg = config_from_dict({"preset": preset_name, "mode": mode, "n_shots": n_shots,
+                                "master_seed": seed, "scan": {"points": 3}, **detection})
+        spec, values = cfg.ensemble_spec(), cfg.scan_values()
+        res = run_ensemble(spec, values, n_shots, mode=mode, master_seed=seed)
+        system = spec.system
+        model = spec.detection or PERFECT_DETECTION
+        for i, value in enumerate(values):
+            seq = spec.build(value)
+            raw, shots = [], []
+            counts = np.zeros(len(res.outcomes))
+            for shot in range(n_shots):
+                rng = np.random.Generator(np.random.PCG64(shot_seed(seed, i, shot)))
+                noise = sample_noise(spec.doppler_width(), spec.sigma_position_um,
+                                     system.n_atoms, rng)
+                compiled = compile_sequence(seq, system, noise, ideal_pulses=spec.ideal_pulses)
+                rho = run_compiled(compiled, system.initial_state(), dt_max=spec.dt_max)
+                p = np.clip(rho.matrix.diagonal().real, 0.0, 1.0)
+                t = compiled.total_duration
+                raw.append(PERFECT_DETECTION.confusion_matrix(system.level_tuples, t) @ p)
+                vec = model.confusion_matrix(system.level_tuples, t) @ p
+                vec /= vec.sum()
+                shots.append(vec)
+                if mode == "sampled":
+                    counts[rng.choice(len(vec), p=vec)] += 1
+            expected = counts / n_shots if mode == "sampled" else sum(shots) / n_shots
+            assert np.array_equal(res.per_shot[i], np.array(shots))
+            assert np.array_equal(res.probabilities[i], expected)
+            assert np.array_equal(res.raw_probabilities[i], sum(raw) / n_shots)
 
 
 class TestWorkerDeterminism:
