@@ -22,19 +22,22 @@ g, 25 of 81 for two atoms.
 
 On that set the state is held in real coordinates x (Re rho_ii, and Re
 rho_ij and Im rho_ij for i < j), rho = sum_b x_b E_b. Column b of the real
-generator is -i[H, E_b] + D(E_b) in those coordinates, with the dissipator
-part cached beside the basis, so no d^2 x d^2 matrix is built per segment
-(``liouvillian`` builds the full complex M as the reference for tests).
-The RK4 map is built and powered with real products (a 25x25 real product
-costs about half of a complex one).
+generator is -i[H, E_b] + D(E_b) in those coordinates; every entry of the
+commutator part is a signed sum of at most two parts of H, so all of a
+scan point's shots get theirs from one product with a cached 0/+-1
+Jacobian, and no d^2 x d^2 matrix is built (``liouvillian`` builds the
+full complex M as the reference for tests). Each shot gets its own step
+count and ``rk4_map``, and the real step maps are powered as a stack in
+which every shot keeps its own squaring sequence, so its numbers are the
+ones it gets alone; a single DensityMatrix runs as a batch of one.
 
 Each segment's step is capped so that h*||H||inf and h*||D||inf (D the
 dissipator) stay at most 0.04: strong interactions and fast decays get
 finer steps than ``dt_max``, and RK4 stays stable.
 
 The trace is never renormalized. Every state ``evolve`` returns is checked
-once for finite entries, Hermiticity, unit trace and positivity; a
-failure raises ``FloatingPointError``.
+for finite entries, Hermiticity, unit trace and positivity, once per stack;
+a failure raises ``FloatingPointError``.
 """
 
 from __future__ import annotations
@@ -103,9 +106,9 @@ def matrices_close(a, b, tol: float) -> bool:
 
 
 def hermiticity_defect(m) -> float:
-    """Max elementwise deviation |m - m^dagger|."""
+    """Max elementwise deviation |m - m^dagger|, over a whole stack of matrices."""
     a = np.asarray(m, dtype=complex)
-    return float(np.abs(a - a.conj().T).max())
+    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
 
 
 def require_hermitian(m, tol: float = HERMITICITY_TOL, name: str = "matrix") -> None:
@@ -260,12 +263,35 @@ def coherence(rho: DensityMatrix, label_a: str, label_b: str) -> complex:
     return complex(rho.matrix[rho.index(label_a), rho.index(label_b)])
 
 
-def apply_unitary(rho: DensityMatrix, u) -> DensityMatrix:
-    """Conjugate rho by a unitary: U rho U^dagger."""
+def apply_unitary(rho, u):
+    """Conjugate rho by a unitary: U rho U^dagger.
+
+    ``rho`` may also be an (n, d, d) stack of states with ``u`` one unitary
+    per state; the read-only result is checked like a DensityMatrix
+    (finite, Hermitian, unit trace), raising ``FloatingPointError``.
+    """
+    if not isinstance(rho, DensityMatrix):
+        m = u @ rho @ np.conj(u).swapaxes(1, 2)
+        m.setflags(write=False)
+        _check_states(m, "after a unitary", positive=False)
+        return m
     u = as_square_matrix(u, "unitary")
     if u.shape[0] != rho.dim:
         raise ValueError(f"unitary dim {u.shape[0]} != state dim {rho.dim}")
     return DensityMatrix(u @ rho.matrix @ u.conj().T, rho.basis_labels)
+
+
+def _check_states(m: np.ndarray, where: str, positive: bool = True) -> None:
+    """Raise FloatingPointError unless every state of the (n, d, d) stack is
+    finite, Hermitian, of unit trace and (with ``positive``) positive."""
+    if not np.isfinite(m).all():
+        raise FloatingPointError(f"NaN/Inf in state {where}")
+    if hermiticity_defect(m) > HERMITICITY_TOL:
+        raise FloatingPointError(f"Hermiticity lost {where}")
+    if np.abs(m.diagonal(0, 1, 2).real.sum(axis=1) - 1.0).max() > TRACE_TOL:
+        raise FloatingPointError(f"trace diverged {where}")
+    if positive and np.linalg.eigvalsh(m).min() < -1e-6:
+        raise FloatingPointError(f"positivity lost {where}")
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -340,21 +366,27 @@ def rk4_map(m: np.ndarray, dt: float) -> np.ndarray:
     return r
 
 
-def _power_apply(r: np.ndarray, n: int, vec: np.ndarray) -> np.ndarray:
-    """Compute r^n @ vec by binary powering."""
-    result = vec
-    base = r
-    while n > 0:
-        if n & 1:
+def _power_apply(r: np.ndarray, n, vec: np.ndarray) -> np.ndarray:
+    """Compute r^n @ vec by binary powering.
+
+    On stacks (r (m, k, k), vec (m, k, j), n m counts) each slice takes the
+    products it takes alone: it keeps the product at its own set bits only,
+    and squarings past its last bit are never applied to it.
+    """
+    result, base, n = vec, r, np.asarray(n)
+    while n.any():
+        odd, n = n & 1 == 1, n >> 1
+        if odd.all():
             result = base @ result
-        n >>= 1
-        if n:
+        elif odd.any():
+            result = np.where(odd[:, None, None], base @ result, result)
+        if n.any():
             base = base @ base
     return result
 
 
 @functools.lru_cache(maxsize=256)
-def _real_block(pattern: bytes, channels: tuple, support: bytes) -> tuple[np.ndarray, ...]:
+def _real_block(pattern: bytes, channels: tuple, support: bytes) -> tuple:
     """Real coordinates on the vec(rho) entries a segment can reach.
 
     ``pattern`` is ``(H != 0).tobytes()`` and ``support`` is
@@ -364,8 +396,9 @@ def _real_block(pattern: bytes, channels: tuple, support: bytes) -> tuple[np.nda
     itself. The coordinates are Re rho_ii, then Re rho_ij and Im rho_ij for
     i < j (Havel, J. Math. Phys. 44, 534 (2003)). Returns the Hermitian basis
     ``E`` (k x d x d) with rho = sum_b x_b E_b, the positions ``read`` of the
-    coordinates in ``vec.view(np.float64)`` and the dissipator's k x k real
-    generator ``g_d``.
+    coordinates in ``vec.view(np.float64)`` and ``generator``, which maps an
+    (m, d, d) stack of Hamiltonians with this pattern to their (m, k, k) real
+    generators: column b is -i[H, E_b] + D(E_b) read in the coordinates.
     """
     n = len(support)
     dim = math.isqrt(n)
@@ -395,27 +428,77 @@ def _real_block(pattern: bytes, channels: tuple, support: bytes) -> tuple[np.nda
     # einsum, not @: a BLAS product of this size starts OpenBLAS threads
     g_d = np.einsum("rs,bs->br", dissipator, basis).view(np.float64)[:, read].T.copy()
     basis = basis.reshape(k, dim, dim)
+    # Each coordinate of -i[H, E_b] is a signed sum of at most two real or
+    # imaginary parts of H, with weights +-1 or +-2: gathering those two
+    # rounds like the commutator and, unlike a product, starts no BLAS threads.
+    parts = np.flatnonzero(np.repeat(h.reshape(-1), 2))
+    jacobian = np.empty((len(parts), k, k))
+    for u, part in enumerate(parts):
+        unit = np.zeros(2 * n)
+        unit[part] = 1
+        unit = unit.view(complex).reshape(dim, dim)
+        comm = (-1j * (unit @ basis - basis @ unit)).reshape(k, n)
+        jacobian[u] = comm.view(np.float64)[:, read].T
+    jacobian = np.r_[jacobian.reshape(len(parts), k * k), np.zeros((2, k * k))]
+    terms = np.argsort(jacobian == 0, axis=0, kind="stable")[:2]  # nonzero rows first
+    weight = np.take_along_axis(jacobian, terms, axis=0)
+    source = np.r_[parts, 0, 0][terms]  # a zero weight reads any part
     for a in (basis, read, g_d):
         a.setflags(write=False)
-    return basis, read, g_d
+
+    def generator(hams: np.ndarray) -> np.ndarray:
+        flat = hams.reshape(len(hams), -1).view(np.float64)
+        gen = flat[:, source[0]] * weight[0] + flat[:, source[1]] * weight[1]
+        # in C order: in the gathered layout numpy's products skip BLAS and round differently
+        return np.ascontiguousarray(gen.reshape(-1, k, k) + g_d)
+
+    return basis, read, generator
 
 
-def evolve(
-    rho0: DensityMatrix,
-    segments,
-    channels=(),
-    dt_max: float = DEFAULT_DT_MAX,
-    sample_dt: float | None = None,
-) -> list[tuple[float, DensityMatrix]]:
+def _step_maps(vecs: np.ndarray, hams: np.ndarray, durations: np.ndarray,
+               channels: tuple, dt_max: float):
+    """For shots with equal H patterns and supports of vec(rho) ``vecs``:
+    their block basis, (m, k, k) step maps, step counts (0 for an empty
+    segment) and (m, k, 1) coordinates."""
+    # Stiff segments (a strong pair interaction, a fast decay) get finer
+    # steps than dt_max, so that h*||H||inf and h*||D||inf stay small and
+    # RK4 stays stable; the step bound requested by the caller still holds.
+    rate = np.maximum(np.abs(hams).sum(axis=2).max(axis=1), dissipator_norm(channels))
+    with np.errstate(divide="ignore"):
+        n_steps = np.ceil(durations / np.minimum(dt_max, STEP_NORM_PRODUCT / rate))
+    n_steps = np.maximum(n_steps, durations > 0).astype(int)  # >= 1 step unless empty
+    pattern, support = (hams[0] != 0).tobytes(), (vecs[0] != 0).tobytes()
+    basis, read, generator = _real_block(pattern, channels, support)
+    maps = generator(hams)
+    for i, (duration, n) in enumerate(zip(durations.tolist(), n_steps.tolist())):
+        if n:  # per shot, with a scalar step: perfbench's tracer counts steps per call
+            maps[i] = rk4_map(maps[i], duration / n)
+    return basis, maps, n_steps, np.ascontiguousarray(vecs.view(np.float64)[:, read])[..., None]
+
+
+def _states(x: np.ndarray, basis: np.ndarray, where: str) -> np.ndarray:
+    """The checked, read-only (m, d, d) states with coordinates x (m, k, 1)."""
+    k, dim = basis.shape[:2]
+    m = np.einsum("mb,bs->ms", x[..., 0], basis.reshape(k, -1)).reshape(-1, dim, dim)
+    m.setflags(write=False)
+    _check_states(m, where)
+    return m
+
+
+def evolve(rho0, segments, channels=(), dt_max: float = DEFAULT_DT_MAX,
+           sample_dt: float | None = None):
     """Integrate the Lindblad equation through piecewise-constant segments.
 
     drho/dt = -i[H, rho] + sum_k (L_k rho L_k^dag - 1/2 {L_k^dag L_k, rho})
 
     Each segment is subdivided into fixed RK4 steps of size <= ``dt_max``
     and propagated in real coordinates on its invariant subspace (see the
-    module docstring). The returned trajectory always includes the initial
-    state and every segment boundary; ``sample_dt`` adds interior samples
-    at roughly that spacing. The trace is never renormalized.
+    module docstring). For a DensityMatrix the segments run in turn and the
+    trajectory is returned: it always includes the initial state and every
+    segment boundary, and ``sample_dt`` adds interior samples at roughly
+    that spacing. For an (n, d, d) stack of states (a scan point's shots)
+    each state runs through its own one of n ``segments`` and the read-only
+    stack of end states is returned. The trace is never renormalized.
 
     Raises ``ValueError`` on dimension mismatches and ``FloatingPointError``
     when a returned state is not finite, not Hermitian, has lost its trace
@@ -425,55 +508,54 @@ def evolve(
         raise ValueError(f"dt_max must be positive, got {dt_max}")
     if sample_dt is not None and not 0 < sample_dt < math.inf:
         raise ValueError(f"sample_dt must be positive and finite, got {sample_dt}")
-    channels = tuple(channels)
-    dim = rho0.dim
-    labels = rho0.basis_labels
-    for ch in channels:
-        if ch.dim != dim:
-            raise ValueError(f"channel dim {ch.dim} != state dim {dim}")
-    dissipation = dissipator_norm(channels)
+    channels, segments = tuple(channels), list(segments)
+    dim = rho0.dim if isinstance(rho0, DensityMatrix) else rho0.shape[1]
+    for item in (*channels, *segments):
+        if item.dim != dim:
+            raise ValueError(f"{type(item).__name__} dim {item.dim} != state dim {dim}")
+    if not isinstance(rho0, DensityMatrix):
+        vecs = np.ascontiguousarray(rho0, dtype=complex).reshape(len(segments), -1)
+        hams = np.array([seg.hamiltonian for seg in segments])
+        durations = np.array([seg.duration for seg in segments])
+        # shots with equal H patterns and state supports share one block
+        keys = np.c_[hams.reshape(len(hams), -1) != 0, vecs != 0]
+        out, todo = np.empty_like(vecs), np.ones(len(keys), dtype=bool)
+        while todo.any():
+            sel = (keys == keys[todo.argmax()]).all(axis=1)
+            todo &= ~sel
+            basis, maps, n_steps, x = _step_maps(
+                vecs[sel], hams[sel], durations[sel], channels, dt_max)
+            where = f"at t = {durations[sel].max():.6g} us"
+            out[sel] = _states(_power_apply(maps, n_steps, x), basis, where).reshape(len(x), -1)
+        out = out.reshape(rho0.shape)
+        out.setflags(write=False)
+        return out
 
     trajectory: list[tuple[float, DensityMatrix]] = [(0.0, rho0)]
-    vec = np.ascontiguousarray(rho0.matrix.reshape(-1), dtype=complex)
-    t = 0.0
-
-    def emit(time: float, basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-        v = x @ basis.reshape(len(x), -1)
-        v.setflags(write=False)
-        m = v.reshape(dim, dim)
-        if not np.isfinite(v).all():
-            raise FloatingPointError(f"NaN/Inf in state at t = {time:.6g} us")
-        if hermiticity_defect(m) > HERMITICITY_TOL:
-            raise FloatingPointError(f"Hermiticity lost at t = {time:.6g} us")
-        if abs(m.trace().real - 1.0) > TRACE_TOL:
-            raise FloatingPointError(f"trace diverged at t = {time:.6g} us")
-        if np.linalg.eigvalsh(m)[0] < -1e-6:
-            raise FloatingPointError(f"positivity lost at t = {time:.6g} us")
-        trajectory.append((time, DensityMatrix._trusted(m, labels)))
-        return v
-
+    state, t = np.ascontiguousarray(rho0.matrix, dtype=complex), 0.0
     for seg in segments:
-        if seg.dim != dim:
-            raise ValueError(f"segment dim {seg.dim} != state dim {dim}")
         if seg.duration == 0.0:
             trajectory.append((t, trajectory[-1][1]))
             continue
-        # Stiff segments (a strong pair interaction, a fast decay) get finer
-        # steps than dt_max, so that h*||H||inf and h*||D||inf stay small and
-        # RK4 stays stable; the step bound requested by the caller still holds.
-        rate = max(float(np.abs(seg.hamiltonian).sum(axis=1).max()), dissipation)
-        h_cap = dt_max if rate == 0.0 else min(dt_max, STEP_NORM_PRODUCT / rate)
-        n_steps = max(1, math.ceil(seg.duration / h_cap))
+        vecs, hams = state.reshape(1, -1), seg.hamiltonian[None]
+        basis, maps, n_steps, x = _step_maps(vecs, hams, np.r_[seg.duration], channels, dt_max)
+        n_steps = int(n_steps[0])
         h = seg.duration / n_steps
-        ham = seg.hamiltonian
-        basis, read, g_d = _real_block((ham != 0).tobytes(), channels, (vec != 0).tobytes())
-        g_h = (-1j * (ham @ basis - basis @ ham)).reshape(len(read), -1).view(np.float64)[:, read]
-        step = rk4_map(g_h.T + g_d, h)
-        x = vec.view(np.float64)[read]
         chunk = n_steps if sample_dt is None else max(1, round(sample_dt / h))
         ends = [*range(chunk, n_steps, chunk), n_steps]
+        # the chunk map is powered once, with the squarings of one chunk
+        chunk_map = _power_apply(maps, chunk, np.eye(len(basis))) if len(ends) > 1 else None
+        xs = []
         for start, end in zip([0, *ends], ends):
-            x = _power_apply(step, end - start, x)
-            vec = emit(t + (seg.duration if end == n_steps else end * h), basis, x)
-        t += seg.duration
+            if chunk_map is not None and end - start == chunk:
+                x = chunk_map @ x
+            else:
+                x = _power_apply(maps, end - start, x)
+            xs.append(x[0])
+        # the segment's samples are checked as one stack
+        states = _states(np.array(xs), basis, f"in t = {t:.6g} to {t + seg.duration:.6g} us")
+        for end, state in zip(ends, states):
+            time = t + (seg.duration if end == n_steps else end * h)
+            trajectory.append((time, DensityMatrix._trusted(state, rho0.basis_labels)))
+        state, t = states[-1], t + seg.duration
     return trajectory

@@ -250,6 +250,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _require(points >= 1, "scan needs at least one point")
     _require(stop >= start, "scan stop must be >= start")
     _require(cfg.n_shots >= 1, "n_shots must be >= 1")
+    _require(-2**63 <= cfg.master_seed < 2**63,
+             f"master_seed must be a signed 64-bit integer, got {cfg.master_seed}")
     _require(cfg.mode in ("expectation", "sampled"), f"unknown mode {cfg.mode!r}")
     _require(cfg.dt_max > 0, "dt_max must be positive")
     _require(cfg.sigma_position_um >= 0,

@@ -1,10 +1,11 @@
 """Monte Carlo ensembles over Doppler and position noise.
 
-Each shot draws a static per-atom Doppler detuning and position offset,
-compiles the scan point's sequence against that draw and integrates the
-master equation. Shots are seeded individually from (master_seed,
-scan_index, shot_index) with a stable hash, so results are bit-identical
-regardless of execution order or worker count.
+Each shot draws a static per-atom Doppler detuning and position offset
+and compiles the scan point's sequence against that draw; then the point's
+shots propagate as one stack (``run_compiled``), each getting the numbers
+it gets alone. Shots are seeded individually from (master_seed, scan_index,
+shot_index) with a stable hash, so results are bit-identical regardless of
+execution order or worker count.
 
 Everything after the propagation runs once per scan point on the stacked
 (n_shots, d) final populations: the range and sum checks (a failure raises
@@ -183,16 +184,15 @@ def _run_scan_point(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rho0 = system.initial_state()
     seq = spec.build(value)
 
-    # the shot loop only draws, compiles and propagates; each shot keeps its
-    # generator for its sampled-mode draw
-    rngs = []
-    p = np.empty((n_shots, system.dim))
+    # the shot loop only draws and compiles; each shot keeps its generator
+    # for its sampled-mode draw, and all shots propagate as one stack
+    rngs, compiled = [], []
     for shot in range(n_shots):
         rng = np.random.default_rng(shot_seed(master_seed, scan_index, shot))
         noise = sample_noise(spec.doppler_width(), spec.sigma_position_um, system.n_atoms, rng)
-        compiled = compile_sequence(seq, system, noise, ideal_pulses=spec.ideal_pulses)
-        p[shot] = run_compiled(compiled, rho0, dt_max=spec.dt_max).matrix.diagonal().real
+        compiled.append(compile_sequence(seq, system, noise, ideal_pulses=spec.ideal_pulses))
         rngs.append(rng)
+    p = run_compiled(compiled, rho0, dt_max=spec.dt_max).diagonal(axis1=1, axis2=2).real
 
     bad = (p < -POSITIVITY_TOL) | (p > 1.0 + POSITIVITY_TOL)
     if bad.any():
@@ -205,7 +205,7 @@ def _run_scan_point(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _check_distribution(p, FloatingPointError)
     # every shot of a point has the same segment durations; C @ p per shot
     # rounds like a single shot's product (p @ C.T does not)
-    levels, duration = system.level_tuples, compiled.total_duration
+    levels, duration = system.level_tuples, compiled[0].total_duration
     raw, shots = (
         (d.confusion_matrix(levels, duration) @ p[:, :, None])[..., 0]
         for d in (PERFECT_DETECTION, spec.detection or PERFECT_DETECTION)
@@ -238,6 +238,8 @@ def run_ensemble(
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
     if mode not in ("expectation", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not -2**63 <= master_seed < 2**63:
+        raise ValueError(f"master_seed must be a signed 64-bit integer, got {master_seed}")
     values = np.asarray(list(scan_values), dtype=float)
     outcomes = measured_outcomes(spec.system.n_atoms)
 

@@ -413,22 +413,27 @@ def compile_sequence(
     return CompiledSequence(tuple(steps))
 
 
-def run_compiled(
-    compiled: CompiledSequence,
-    rho0: DensityMatrix,
-    dt_max: float = DEFAULT_DT_MAX,
-) -> DensityMatrix:
-    """Evolve an initial state through a compiled sequence, returning the end state."""
+def run_compiled(compiled, rho0: DensityMatrix, dt_max: float = DEFAULT_DT_MAX):
+    """Evolve an initial state through a compiled sequence, returning the end state.
+
+    Given a list of compiled shots of one sequence, walks their steps once
+    (a stacked U rho U^dagger, or one ``evolve`` call on the stacked states)
+    and returns the (n_shots, d, d) end states; one sequence is a batch of one.
+    """
     # evolve is looked up at call time, so a wrapped dynamics.evolve is used
     from .dynamics import apply_unitary, evolve
 
-    rho = rho0
-    for step in compiled.steps:
-        if step.unitary is not None:
-            rho = apply_unitary(rho, step.unitary)
+    if isinstance(compiled, CompiledSequence):
+        end = run_compiled([compiled], rho0, dt_max)[0]
+        return DensityMatrix._trusted(end, rho0.basis_labels)
+    states = np.repeat(rho0.matrix[None], len(compiled), axis=0)
+    for steps in zip(*(shot.steps for shot in compiled)):
+        if steps[0].unitary is not None:
+            states = apply_unitary(states, np.array([step.unitary for step in steps]))
         else:
-            rho = evolve(rho, [step.segment], step.channels, dt_max=dt_max)[-1][1]
-    return rho
+            segments = [step.segment for step in steps]
+            states = evolve(states, segments, steps[0].channels, dt_max=dt_max)
+    return states
 
 
 # -- presets ---------------------------------------------------------------

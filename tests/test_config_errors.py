@@ -2,10 +2,10 @@
 
 Each example puts one bad value into a valid two-point, one-shot ``rabi``
 or ``blockade_rabi`` config: NaN or an infinity for a number, a string for
-a number or a boolean, a zero or negative count, or an unknown key. The
-run must exit 1 with ``error:`` on stderr and no traceback. Runs
-derandomized with a capped example count; needs the test-only dependency
-``hypothesis``.
+a number or a boolean, a zero or negative count, a master seed outside the
+signed 64-bit range, or an unknown key. The run must exit 1 with ``error:``
+on stderr and no traceback. Runs derandomized with a capped example count;
+needs the test-only dependency ``hypothesis``.
 """
 
 import contextlib
@@ -43,6 +43,8 @@ BAD = st.one_of(
     st.tuples(st.just(("two_atom", "positions_um")), BAD_NUMBER.map(lambda v: [0.0, v])),
     st.tuples(st.sampled_from(BOOLEANS), st.sampled_from(["false", "true", "no", "1"])),
     st.tuples(st.sampled_from(COUNTS), st.sampled_from([0, -1, -3, math.nan, "2"])),
+    st.tuples(st.just((None, "master_seed")),
+              st.sampled_from([2**63, -2**63 - 1, 10**19, 10000000000000000000.0])),
     st.tuples(st.sampled_from([(section, "bogus") for section in SECTIONS]), st.just(1.0)),
 )
 

@@ -265,14 +265,18 @@ class TestRealCoordinates:
         h, channels = step.segment.hamiltonian, step.channels
         m = liouvillian(h, channels)
         vec = system.initial_state().matrix.reshape(-1)
-        basis, read, g_d = real_block((h != 0).tobytes(), channels, (vec != 0).tobytes())
+        basis, read, generator = real_block((h != 0).tobytes(), channels, (vec != 0).tobytes())
         k = len(read)
 
         def state(x):
             return x @ basis.reshape(k, -1)
 
-        gen = (-1j * (h @ basis - basis @ h)).reshape(k, -1).view(np.float64)[:, read].T + g_d
+        gen = generator(h[None])[0]
         assert gen.dtype == np.float64 and gen.shape == (k, k)
+        # the gather from H rounds like the commutator it replaces
+        g_d = generator(np.zeros((1, 9, 9), dtype=complex))[0]
+        commutator = (-1j * (h @ basis - basis @ h)).reshape(k, -1).view(np.float64)[:, read].T
+        np.testing.assert_array_equal(gen, commutator + g_d)
         x = vec.view(np.float64)[read]
         # one Euler step in real coordinates is M vec read in real coordinates
         np.testing.assert_allclose(state(gen @ x), m @ vec, atol=1e-14)

@@ -237,6 +237,13 @@ class TestRunEnsemble:
         b = run_ensemble(spec, [3.0], n_shots=8, master_seed=12)
         assert not np.array_equal(a.probabilities, b.probabilities)
 
+    def test_seed_outside_64_bits_is_refused(self):
+        system = SystemModel(atom=AtomParams(), n_atoms=1)
+        spec = make_spec("ramsey", "gap", system)
+        for seed in (2**63, -2**63 - 1):
+            with pytest.raises(ValueError, match="master_seed must be a signed 64-bit integer"):
+                run_ensemble(spec, [3.0], n_shots=1, master_seed=seed)
+
     def test_detection_shifts_probabilities(self):
         system = SystemModel(atom=AtomParams(), n_atoms=1)
         spec_raw = make_spec(
