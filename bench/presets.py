@@ -1,10 +1,10 @@
 """Wall and CPU time of every preset's default run, and of the Tier-1 suite.
 
-    python3 bench/presets.py BENCH.json [--repeats 3] [--baseline OLD.json]
+    python3 bench/presets.py BENCH.json [--baseline OLD.json]
 
 Run from a source checkout; rydsim is imported from its ``src/``. Each of
 the 9 presets runs at its default config (seed 0, detection on) with 1 and
-2 workers, and the repeats are interleaved: every repeat runs all 18
+2 workers, ``REPEATS`` times, interleaved: every repeat runs all 18
 (preset, workers) pairs before the next starts, so slow drift of a shared
 host spreads over all of them. A preset's figure is the median over the
 repeats of the wall time and of ``cpu_s``, the user plus system time
@@ -32,6 +32,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import _env, _timed as timed, environment  # noqa: E402
 
 WORKERS = (1, 2)
+REPEATS = 3
 
 
 def preset_names() -> list[str]:
@@ -40,10 +41,10 @@ def preset_names() -> list[str]:
     return [entry["name"] for entry in json.loads(out)]
 
 
-def run_presets(work: Path, repeats: int) -> dict:
+def run_presets(work: Path) -> dict:
     names = preset_names()
     samples = {(name, w): [] for name in names for w in WORKERS}
-    for repeat in range(repeats):
+    for repeat in range(REPEATS):
         for (name, workers), runs in samples.items():
             rundir = work / f"{name}_{workers}_{repeat}"
             rundir.mkdir()
@@ -79,13 +80,12 @@ def run_tier1(work: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="JSON file to write")
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--baseline", type=Path, help="an earlier output of this script")
     args = parser.parse_args(argv)
 
-    record = {"machine": environment(), "repeats": args.repeats, "seed": 0, "workers": WORKERS}
+    record = {"machine": environment(), "repeats": REPEATS, "seed": 0, "workers": WORKERS}
     with tempfile.TemporaryDirectory() as tmp:
-        record["presets"] = run_presets(Path(tmp), args.repeats)
+        record["presets"] = run_presets(Path(tmp))
         record["all_presets_wall_s"] = {
             f"workers_{w}": sum(p[f"workers_{w}"]["wall_s"] for p in record["presets"].values())
             for w in WORKERS

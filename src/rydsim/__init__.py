@@ -16,8 +16,6 @@ Submodules:
 
 __version__ = "0.1.0"
 
-from types import ModuleType as _Module
-
 from .atoms import (
     AtomParams,
     DetectionModel,
@@ -70,8 +68,51 @@ from .pulses import (
 )
 from .experiments import preset
 
-# the names imported above, without the submodules they come from
-__all__ = ["__version__"] + [
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _Module)
+__all__ = [
+    "__version__",
+    "AtomParams",
+    "DetectionModel",
+    "cavity_suppression",
+    "combined_t1",
+    "detection_probabilities",
+    "doppler_sigma",
+    "pure_dephasing",
+    "two_photon_rabi",
+    "BellRecord",
+    "TwoAtomParams",
+    "bell_fidelity",
+    "blockaded_pi_unitary",
+    "dark_state",
+    "detection_corrected_fidelity",
+    "local_phase_unitary",
+    "parity_amplitude",
+    "w_state",
+    "DensityMatrix",
+    "LindbladChannel",
+    "Segment",
+    "apply_unitary",
+    "coherence",
+    "evolve",
+    "population",
+    "tensor",
+    "FitResult",
+    "fit_cosine",
+    "fit_damped_cosine",
+    "fit_decay",
+    "spectral_peak",
+    "EnsembleResult",
+    "EnsembleSpec",
+    "NoiseSample",
+    "apply_detection",
+    "run_ensemble",
+    "sample_noise",
+    "shot_seed",
+    "GlobalDrive",
+    "LocalPhaseGate",
+    "PulseSequence",
+    "SystemModel",
+    "Wait",
+    "compile_sequence",
+    "preset",
+    "run_compiled",
 ]

@@ -375,7 +375,7 @@ def _power_apply(r: np.ndarray, n, vec: np.ndarray) -> np.ndarray:
     """
     result, base, n = vec, r, np.asarray(n)
     while n.any():
-        odd, n = n & 1 == 1, n >> 1
+        odd, n = n % 2 == 1, n >> 1
         if odd.all():
             result = base @ result
         elif odd.any():
