@@ -432,17 +432,19 @@ def _real_block(pattern: bytes, channels: tuple, support: bytes) -> tuple:
     # imaginary parts of H, with weights +-1 or +-2: gathering those two
     # rounds like the commutator and, unlike a product, starts no BLAS threads.
     parts = np.flatnonzero(np.repeat(h.reshape(-1), 2))
-    jacobian = np.empty((len(parts), k, k))
+    jacobian = np.empty((len(parts), k, k), dtype=np.int8)  # exact: 0, +-1 or +-2
     for u, part in enumerate(parts):
         unit = np.zeros(2 * n)
         unit[part] = 1
         unit = unit.view(complex).reshape(dim, dim)
         comm = (-1j * (unit @ basis - basis @ unit)).reshape(k, n)
         jacobian[u] = comm.view(np.float64)[:, read].T
-    jacobian = np.r_[jacobian.reshape(len(parts), k * k), np.zeros((2, k * k))]
-    terms = np.argsort(jacobian == 0, axis=0, kind="stable")[:2]  # nonzero rows first
-    weight = np.take_along_axis(jacobian, terms, axis=0)
-    source = np.r_[parts, 0, 0][terms]  # a zero weight reads any part
+    jacobian = jacobian.reshape(len(parts), k * k)
+    # the nonzero parts of each entry, in part order; a zero weight reads part 0
+    entry, row = np.nonzero(jacobian.T)
+    slot = np.arange(len(entry)) - np.searchsorted(entry, entry)
+    source, weight = np.zeros((2, k * k), dtype=int), np.zeros((2, k * k))
+    source[slot, entry], weight[slot, entry] = parts[row], jacobian[row, entry]
     for a in (basis, read, g_d):
         a.setflags(write=False)
 
