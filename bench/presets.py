@@ -8,8 +8,10 @@ the 9 presets runs at its default config (seed 0, detection on) with 1 and
 (preset, workers) pairs before the next starts, so slow drift of a shared
 host spreads over all of them. A preset's figure is the median over the
 repeats of the wall time and of ``cpu_s``, the user plus system time
-``os.wait4`` reports for the run and the worker processes it reaped. The
-Tier-1 suite runs once. The output also records the machine as
+``os.wait4`` reports for the run and the worker processes it reaped.
+``slower_with_workers`` lists, and the script prints, the presets whose
+2-worker median wall time is above their 1-worker one. The Tier-1 suite
+runs once. The output also records the machine as
 ``perfbench/run.py`` does: cores, Python, numpy and its BLAS, the thread
 environment, the commit and the load average. ``--baseline``
 copies an earlier output of this script into the new one, under
@@ -90,6 +92,11 @@ def main(argv=None) -> int:
             f"workers_{w}": sum(p[f"workers_{w}"]["wall_s"] for p in record["presets"].values())
             for w in WORKERS
         }
+        record["slower_with_workers"] = [
+            name for name, runs in record["presets"].items()
+            if runs["workers_2"]["wall_s"] > runs["workers_1"]["wall_s"]
+        ]
+        print(f"slower with 2 workers than 1: {', '.join(record['slower_with_workers']) or 'none'}")
         record["tier1"] = run_tier1(Path(tmp))
     if args.baseline:
         base = json.loads(args.baseline.read_text(encoding="utf-8"))

@@ -54,7 +54,6 @@ __all__ = [
     "POSITIVITY_TOL",
     "DEFAULT_DT_MAX",
     "as_square_matrix",
-    "matrices_close",
     "hermiticity_defect",
     "tensor",
     "DensityMatrix",
@@ -91,18 +90,6 @@ def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
     return a
-
-
-def matrices_close(a, b, tol: float) -> bool:
-    """Elementwise comparison with an explicit absolute tolerance.
-
-    Never use exact float equality on matrices produced by the integrator.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        return False
-    return bool(np.max(np.abs(a - b)) <= tol)
 
 
 def hermiticity_defect(m) -> float:
@@ -300,28 +287,17 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,kl->ikjl", a, b).reshape(d1 * d2, d1 * d2)
 
 
-@functools.lru_cache(maxsize=128)
-def dissipator_superop(channels: tuple) -> np.ndarray:
-    """Superoperator of the jump terms alone; cached per channel tuple."""
-    if not channels:
-        raise ValueError("no channels")
-    d = channels[0].dim
+def dissipator_superop(operators: np.ndarray) -> np.ndarray:
+    """Superoperator of the jump terms of a (c, d, d) stack of jump operators
+    (zero for c = 0); built on a ``_real_block`` miss and by ``liouvillian``."""
+    d = operators.shape[-1]
     eye = np.eye(d)
     m = np.zeros((d * d, d * d), dtype=complex)
-    for ch in channels:
-        op = ch.operator
-        if op.shape[0] != d:
-            raise ValueError(f"channel dims disagree: {op.shape[0]} vs {d}")
+    for op in operators:
         opdop = op.conj().T @ op
         m += _kron(op, op.conj())
         m -= 0.5 * (_kron(opdop, eye) + _kron(eye, opdop.T))
     return m
-
-
-@functools.lru_cache(maxsize=128)
-def dissipator_norm(channels: tuple) -> float:
-    """Infinity norm of ``dissipator_superop(channels)``; 0 without channels."""
-    return float(np.linalg.norm(dissipator_superop(channels), np.inf)) if channels else 0.0
 
 
 def liouvillian(hamiltonian, channels) -> np.ndarray:
@@ -345,7 +321,7 @@ def liouvillian(hamiltonian, channels) -> np.ndarray:
                 raise ValueError(
                     f"channel dim {ch.dim} does not match system dim {d}"
                 )
-        m += dissipator_superop(channels)
+        m += dissipator_superop(np.array([ch.operator for ch in channels]))
     return m
 
 
@@ -386,25 +362,28 @@ def _power_apply(r: np.ndarray, n, vec: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _real_block(pattern: bytes, channels: tuple, support: bytes) -> tuple:
+def _real_block(pattern: bytes, operators: bytes, support: bytes) -> tuple:
     """Real coordinates on the vec(rho) entries a segment can reach.
 
-    ``pattern`` is ``(H != 0).tobytes()`` and ``support`` is
-    ``(vec != 0).tobytes()``. The support, closed under (i, j) -> (j, i), is
-    closed under the nonzero pattern of H (x) I, I (x) H^T and the
-    dissipator D, which contains M's pattern, so M maps the result into
-    itself. The coordinates are Re rho_ii, then Re rho_ij and Im rho_ij for
+    ``pattern`` is ``(H != 0).tobytes()``, ``operators`` the jump operators'
+    bytes joined in channel order and ``support`` is ``(vec != 0).tobytes()``:
+    keyed by content alone, equal channels share one block in any process,
+    unpickled ones in a pool worker included. The support, closed under
+    (i, j) -> (j, i), is closed under the nonzero pattern of H (x) I,
+    I (x) H^T and the dissipator D, which contains M's pattern, so M maps the
+    result into itself. The coordinates are Re rho_ii, then Re rho_ij and Im rho_ij for
     i < j (Havel, J. Math. Phys. 44, 534 (2003)). Returns the Hermitian basis
     ``E`` (k x d x d) with rho = sum_b x_b E_b, the positions ``read`` of the
-    coordinates in ``vec.view(np.float64)`` and ``generator``, which maps an
+    coordinates in ``vec.view(np.float64)``, ``generator``, which maps an
     (m, d, d) stack of Hamiltonians with this pattern to their (m, k, k) real
-    generators: column b is -i[H, E_b] + D(E_b) read in the coordinates.
+    generators: column b is -i[H, E_b] + D(E_b) read in the coordinates, and
+    ``||D||inf`` (0 without channels).
     """
     n = len(support)
     dim = math.isqrt(n)
     h = np.frombuffer(pattern, dtype=bool).reshape(dim, dim)
     eye = np.eye(dim, dtype=bool)
-    dissipator = dissipator_superop(channels) if channels else np.zeros((n, n), dtype=complex)
+    dissipator = dissipator_superop(np.frombuffer(operators, dtype=complex).reshape(-1, dim, dim))
     edges = _kron(h, eye) | _kron(eye, h.T) | (dissipator != 0)
     start = np.frombuffer(support, dtype=bool).reshape(dim, dim)
     reached = (start | start.T).reshape(-1)
@@ -454,7 +433,7 @@ def _real_block(pattern: bytes, channels: tuple, support: bytes) -> tuple:
         # in C order: in the gathered layout numpy's products skip BLAS and round differently
         return np.ascontiguousarray(gen.reshape(-1, k, k) + g_d)
 
-    return basis, read, generator
+    return basis, read, generator, float(np.linalg.norm(dissipator, np.inf))
 
 
 def _step_maps(vecs: np.ndarray, hams: np.ndarray, durations: np.ndarray,
@@ -462,15 +441,16 @@ def _step_maps(vecs: np.ndarray, hams: np.ndarray, durations: np.ndarray,
     """For shots with equal H patterns and supports of vec(rho) ``vecs``:
     their block basis, (m, k, k) step maps, step counts (0 for an empty
     segment) and (m, k, 1) coordinates."""
+    pattern, support = (hams[0] != 0).tobytes(), (vecs[0] != 0).tobytes()
+    operators = b"".join(ch.operator.tobytes() for ch in channels)
+    basis, read, generator, d_norm = _real_block(pattern, operators, support)
     # Stiff segments (a strong pair interaction, a fast decay) get finer
     # steps than dt_max, so that h*||H||inf and h*||D||inf stay small and
     # RK4 stays stable; the step bound requested by the caller still holds.
-    rate = np.maximum(np.abs(hams).sum(axis=2).max(axis=1), dissipator_norm(channels))
+    rate = np.maximum(np.abs(hams).sum(axis=2).max(axis=1), d_norm)
     with np.errstate(divide="ignore"):
         n_steps = np.ceil(durations / np.minimum(dt_max, STEP_NORM_PRODUCT / rate))
     n_steps = np.maximum(n_steps, durations > 0).astype(int)  # >= 1 step unless empty
-    pattern, support = (hams[0] != 0).tobytes(), (vecs[0] != 0).tobytes()
-    basis, read, generator = _real_block(pattern, channels, support)
     maps = generator(hams)
     for i, (duration, n) in enumerate(zip(durations.tolist(), n_steps.tolist())):
         if n:  # per shot, with a scalar step: perfbench's tracer counts steps per call

@@ -1,8 +1,9 @@
 """Property test: a batched run equals a per-shot replay.
 
 Each example runs one of the 9 presets on a two-point grid with 1-6 shots,
-a random master seed, mode, ``ideal_pulses`` and ``gamma_laser`` in
-{0, 0.1}. ``run_ensemble`` propagates each scan point's shots as one stack;
+a random master seed, mode, ``ideal_pulses``, ``gamma_laser`` in {0, 0.1}
+and 1 or 2 workers, so results must not depend on ``n_workers`` either.
+``run_ensemble`` propagates each scan point's shots as one stack;
 every shot's detected distribution in ``per_shot`` must be
 ``np.array_equal`` to the same shot replayed alone: its own noise draw,
 ``compile_sequence`` and single-sequence ``run_compiled``. Runs
@@ -43,16 +44,17 @@ def replayed_shot(spec, value, scan_index, shot, seed):
     mode=st.sampled_from(["expectation", "sampled"]),
     ideal_pulses=st.booleans(),
     gamma_laser=st.sampled_from([0.0, 0.1]),
+    n_workers=st.sampled_from([1, 2]),
 )
 def test_batched_run_equals_per_shot_replay(preset, n_shots, seed, mode, ideal_pulses,
-                                            gamma_laser):
+                                            gamma_laser, n_workers):
     cfg = config_from_dict({
         "preset": preset, "mode": mode, "n_shots": n_shots, "master_seed": seed,
         "ideal_pulses": ideal_pulses, "noise": {"gamma_laser": gamma_laser},
         "scan": {"points": 2},
     })
     spec, values = cfg.ensemble_spec(), cfg.scan_values()
-    res = run_ensemble(spec, values, n_shots, mode=mode, master_seed=seed)
+    res = run_ensemble(spec, values, n_shots, mode=mode, master_seed=seed, n_workers=n_workers)
     for i, value in enumerate(values):
         replay = [replayed_shot(spec, value, i, shot, seed) for shot in range(n_shots)]
         assert np.array_equal(res.per_shot[i], np.array(replay)), (preset, i)

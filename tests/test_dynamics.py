@@ -13,7 +13,6 @@ from rydsim.dynamics import (
     evolve,
     hermiticity_defect,
     liouvillian,
-    matrices_close,
     population,
     tensor,
 )
@@ -165,9 +164,19 @@ class TestEvolveInvariants:
 real_block = dynamics._real_block
 
 
-def full_space(pattern, channels, support):
+def full_space(pattern, operators, support):
     """``_real_block`` closed from an all-true support: every vec(rho) entry."""
-    return real_block(pattern, channels, b"\x01" * len(support))
+    return real_block(pattern, operators, b"\x01" * len(support))
+
+
+def operator_bytes(channels):
+    """The jump operators' key of ``_real_block``, as ``evolve`` builds it."""
+    return b"".join(ch.operator.tobytes() for ch in channels)
+
+
+def dissipator_norm(channels, dim):
+    """||D||inf, from the Liouvillian of a zero Hamiltonian."""
+    return np.linalg.norm(liouvillian(np.zeros((dim, dim)), channels), np.inf)
 
 
 def compiled_shot(preset, value, **config):
@@ -220,7 +229,8 @@ class TestInvariantSubspace:
         sizes = set()
         for step in compiled.steps:
             h, vec = step.segment.hamiltonian, rho.matrix.reshape(-1)
-            _, read, _ = real_block((h != 0).tobytes(), step.channels, (vec != 0).tobytes())
+            _, read, _, _ = real_block((h != 0).tobytes(), operator_bytes(step.channels),
+                                       (vec != 0).tobytes())
             sizes.add((len(read), vec.size))
             rho = evolve(rho, [step.segment], step.channels)[-1][1]
         assert sizes == {(kept, total)}
@@ -233,7 +243,7 @@ def complex_full_space(system, compiled, sample_dt):
     states = []
     for step in compiled.steps:
         seg, channels = step.segment, tuple(step.channels)
-        rate = max(np.linalg.norm(seg.hamiltonian, np.inf), dynamics.dissipator_norm(channels))
+        rate = max(np.linalg.norm(seg.hamiltonian, np.inf), dissipator_norm(channels, system.dim))
         n_steps = math.ceil(seg.duration / min(dynamics.DEFAULT_DT_MAX, dynamics.STEP_NORM_PRODUCT / rate))
         h = seg.duration / n_steps
         r = dynamics.rk4_map(liouvillian(seg.hamiltonian, channels), h)
@@ -265,7 +275,8 @@ class TestRealCoordinates:
         h, channels = step.segment.hamiltonian, step.channels
         m = liouvillian(h, channels)
         vec = system.initial_state().matrix.reshape(-1)
-        basis, read, generator = real_block((h != 0).tobytes(), channels, (vec != 0).tobytes())
+        basis, read, generator, _ = real_block((h != 0).tobytes(), operator_bytes(channels),
+                                               (vec != 0).tobytes())
         k = len(read)
 
         def state(x):
@@ -282,6 +293,23 @@ class TestRealCoordinates:
         np.testing.assert_allclose(state(gen @ x), m @ vec, atol=1e-14)
         rho = state(np.arange(k, dtype=float)).reshape(9, 9)
         np.testing.assert_array_equal(rho, rho.conj().T)
+
+    def test_unpickled_spec_hits_the_block_cache(self):
+        # a pool task gets its spec pickled, so its channels are new objects
+        import pickle
+
+        from rydsim.experiments import config_from_dict
+        from rydsim.montecarlo import _run_scan_point
+
+        cfg = config_from_dict({"preset": "blockade_rabi"})
+        spec, value = cfg.ensemble_spec(), float(cfg.scan_values()[1])
+        first = _run_scan_point((spec, value, 1, 2, "expectation", 0))
+        misses = real_block.cache_info().misses
+        spec = pickle.loads(pickle.dumps(spec))
+        second = _run_scan_point((spec, value, 1, 2, "expectation", 0))
+        assert real_block.cache_info().misses == misses
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestStateAccessors:
@@ -360,13 +388,6 @@ class TestNonFiniteArguments:
 
 
 class TestMatrixHelpers:
-    def test_matrices_close_uses_tolerance(self):
-        a = np.zeros((2, 2))
-        b = np.full((2, 2), 1e-12)
-        assert matrices_close(a, b, 1e-10)
-        assert not matrices_close(a, b, 1e-14)
-        assert not matrices_close(a, np.zeros((3, 3)), 1.0)
-
     def test_density_matrix_rejects_bad_input(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(3), ("a", "b"))  # label count mismatch

@@ -352,7 +352,9 @@ class TestCli:
         assert main(["run", str(config)]) == 0
 
         spec = load_config(config).ensemble_spec()
-        cap = dynamics.STEP_NORM_PRODUCT / dynamics.dissipator_norm(spec.system.channels(True))
+        channels, dim = spec.system.channels(True), spec.system.dim
+        d_norm = np.linalg.norm(dynamics.liouvillian(np.zeros((dim, dim)), channels), np.inf)
+        cap = dynamics.STEP_NORM_PRODUCT / d_norm
         assert cap < spec.dt_max  # the dissipator sets the step
         results = [
             run_ensemble(dataclasses.replace(spec, dt_max=dt), [0.1, 0.2], 1).raw_probabilities
