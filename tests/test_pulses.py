@@ -76,7 +76,7 @@ class TestCompile:
         b = PulseSequence((prep, Wait(1.0), LocalPhaseGate(0.3)), n_atoms=1)
         rho_a = run_compiled(compile_sequence(a, system, noise), system.initial_state())
         rho_b = run_compiled(compile_sequence(b, system, noise), system.initial_state())
-        np.testing.assert_allclose(rho_a.matrix, rho_b.matrix, atol=1e-10)
+        np.testing.assert_allclose(rho_a.matrix, rho_b.matrix, rtol=0, atol=1e-10)
 
     def test_channel_gating_blue_only_during_drive(self):
         system = SystemModel(atom=AtomParams(), n_atoms=1)
