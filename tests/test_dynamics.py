@@ -170,13 +170,8 @@ def full_space(pattern, operators, support):
 
 
 def operator_bytes(channels):
-    """The jump operators' key of ``_real_block``, as ``evolve`` builds it."""
+    """The jump operators' key of ``_real_block``, as ``_step_maps`` builds it."""
     return b"".join(ch.operator.tobytes() for ch in channels)
-
-
-def dissipator_norm(channels, dim):
-    """||D||inf, from the Liouvillian of a zero Hamiltonian."""
-    return np.linalg.norm(liouvillian(np.zeros((dim, dim)), channels), np.inf)
 
 
 def compiled_shot(preset, value, **config):
@@ -243,7 +238,8 @@ def complex_full_space(system, compiled, sample_dt):
     states = []
     for step in compiled.steps:
         seg, channels = step.segment, tuple(step.channels)
-        rate = max(np.linalg.norm(seg.hamiltonian, np.inf), dissipator_norm(channels, system.dim))
+        d_norm = np.linalg.norm(liouvillian(np.zeros_like(seg.hamiltonian), channels), np.inf)
+        rate = max(np.linalg.norm(seg.hamiltonian, np.inf), d_norm)
         n_steps = math.ceil(seg.duration / min(dynamics.DEFAULT_DT_MAX, dynamics.STEP_NORM_PRODUCT / rate))
         h = seg.duration / n_steps
         r = dynamics.rk4_map(liouvillian(seg.hamiltonian, channels), h)
