@@ -22,7 +22,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -145,6 +144,12 @@ class SystemModel:
     product states of (g, r, r'); "projected" removes the doubly excited
     state entirely (blockade taken as infinite), leaving (gg, gr, rg) with
     no blackbody channel.
+
+    Every operator is a single-atom 3x3 operator placed on the product
+    basis by a Kronecker product (the first atom is the left factor) and
+    restricted to the kept states. These depend only on ``n_atoms`` and
+    ``blockade_model``, so equal models share one read-only copy; the
+    Hamiltonian terms and the jump operators are built once per instance.
     """
 
     atom: AtomParams
@@ -172,11 +177,11 @@ class SystemModel:
 
     @property
     def level_tuples(self) -> tuple[tuple[str, ...], ...]:
-        return self._operators.level_tuples
+        return _level_operators(self.n_atoms, self.blockade_model)[0]
 
     @property
     def basis_labels(self) -> tuple[str, ...]:
-        return self._operators.labels
+        return tuple("".join(t) for t in self.level_tuples)
 
     @property
     def dim(self) -> int:
@@ -186,23 +191,15 @@ class SystemModel:
         return DensityMatrix.pure("g" * self.n_atoms, self.basis_labels)
 
     def nominal_positions(self) -> tuple[float, ...]:
-        return self._operators.nominal_positions
+        return (0.0,) if self.n_atoms == 1 else self.two_atom.positions_um
 
     def wavevector(self) -> float:
-        return self._operators.wavevector
-
-    @functools.cached_property
-    def _operators(self) -> "_OperatorTable":
-        # built on first use and kept on the instance, so compiling a shot
-        # neither rebuilds operators nor hashes the whole model
-        return _OperatorTable.build(self)
-
-    # -- operator construction over the labeled basis ---------------------
+        return effective_wavevector(self.atom)
 
     def level_operator(self, atom: int, frm: str, to: str) -> np.ndarray:
         """|to><frm| on one atom, zero where the target state is projected out."""
         try:
-            return self._operators.level_ops[atom, frm, to]
+            return _level_operators(self.n_atoms, self.blockade_model)[1][atom, frm, to]
         except KeyError:
             raise ValueError(f"no level operator |{to}><{frm}| on atom {atom}") from None
 
@@ -210,7 +207,23 @@ class SystemModel:
         return self.level_operator(atom, level, level)
 
     def double_excitation_projector(self) -> np.ndarray:
-        return self._operators.double_excitation
+        return _level_operators(self.n_atoms, self.blockade_model)[2]
+
+    @functools.cached_property
+    def _hamiltonian_terms(self):
+        # per atom (P_r, |r><g|, nominal position), the wavevector, and
+        # U * P_rr in rad/us (two atoms only); kept so a shot's compile
+        # neither rebuilds them nor hashes the whole model
+        atoms = tuple(
+            (self.projector(atom, "r"), self.level_operator(atom, "g", "r"), position)
+            for atom, position in enumerate(self.nominal_positions())
+        )
+        interaction = None
+        if self.n_atoms == 2:
+            u = mhz_to_angular(self.two_atom.interaction_u_mhz)
+            interaction = u * self.double_excitation_projector()
+            interaction.setflags(write=False)
+        return atoms, self.wavevector(), interaction
 
     def hamiltonian(self, element, noise: NoiseSample) -> np.ndarray:
         """H (rad/us) of one pulse element under one noise draw.
@@ -221,19 +234,18 @@ class SystemModel:
         ground-state light shift on its target (and a crosstalk fraction of
         it on the other atom).
         """
-        ops = self._operators
+        atoms, wavevector, interaction = self._hamiltonian_terms
         detuning_mhz = element.detuning_mhz if isinstance(element, GlobalDrive) else 0.0
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        for atom, proj in enumerate(ops.r_projectors):
-            delta = krad_s_to_angular(noise.doppler_krad_s[atom]) + mhz_to_angular(detuning_mhz)
+        h = np.zeros(atoms[0][0].shape, dtype=complex)
+        for (proj, _, _), doppler in zip(atoms, noise.doppler_krad_s, strict=True):
+            delta = krad_s_to_angular(doppler) + mhz_to_angular(detuning_mhz)
             h -= delta * proj
-        if ops.interaction is not None:
-            h += ops.interaction
+        if interaction is not None:
+            h += interaction
         if isinstance(element, GlobalDrive):
             omega = mhz_to_angular(element.rabi_mhz)
-            for atom, raising in enumerate(ops.raising):
-                position = ops.nominal_positions[atom] + noise.position_um[atom]
-                phase = ops.wavevector * position + element.phase
+            for (_, raising, nominal), offset in zip(atoms, noise.position_um, strict=True):
+                phase = wavevector * (nominal + offset) + element.phase
                 coupling = 0.5 * omega * np.exp(1j * phase)
                 h = h + coupling * raising + np.conj(coupling) * raising.conj().T
         elif isinstance(element, LocalPhaseGate):
@@ -251,100 +263,60 @@ class SystemModel:
     def channels(self, drive_on: bool) -> tuple[LindbladChannel, ...]:
         """Jump operators active during an element (blue scattering is
         gated on the drive; everything else runs for the whole sequence)."""
-        ops = self._operators
-        return ops.channels_drive if drive_on else ops.channels_idle
+        return self._channels_by_drive[bool(drive_on)]
+
+    @functools.cached_property
+    def _channels_by_drive(self) -> tuple[tuple[LindbladChannel, ...], ...]:
+        # (idle, drive); the idle tuple is the drive tuple without blue scattering
+        atom, chans = self.atom, []  # (drive-gated, channel)
+        for a in range(self.n_atoms):
+            if self.scattering:
+                if atom.gamma_blue_scatter > 0:
+                    chans.append((True, LindbladChannel.from_rate(
+                        atom.gamma_blue_scatter, self.level_operator(a, "g", "g"))))
+                if atom.gamma_red_scatter > 0:
+                    chans.append((False, LindbladChannel.from_rate(
+                        atom.gamma_red_scatter, self.level_operator(a, "r", "g"))))
+            if self.blackbody:
+                chans.append((False, LindbladChannel.from_rate(
+                    1.0 / rydberg_lifetime(atom), self.level_operator(a, "r", "r'"))))
+        if self.gamma_laser > 0:
+            collective = sum(self.projector(a, "r") for a in range(self.n_atoms))
+            chans.append((False, LindbladChannel.from_rate(2.0 * self.gamma_laser, collective)))
+        return tuple(ch for gated, ch in chans if not gated), tuple(ch for _, ch in chans)
 
 
-class _OperatorTable(NamedTuple):
-    """Everything compiling a shot needs from a SystemModel besides the noise."""
+@functools.lru_cache(maxsize=None)
+def _level_operators(n_atoms: int, blockade_model: str):
+    """The kept level tuples, every read-only |to><from| keyed by
+    (atom, from, to), and the projector on the all-r state."""
+    full = list(itertools.product(SINGLE_ATOM_LEVELS, repeat=n_atoms))
+    levels = tuple(full)
+    if n_atoms == 2 and blockade_model == "projected":
+        # infinite blockade: no doubly excited state, and no r' to decay to
+        levels = tuple(t for t in full if "r'" not in t and t.count("r") < 2)
+    kept = (...,) + np.ix_(*[[full.index(t) for t in levels]] * 2)
+    eye = np.eye(3)
+    units = eye[:, None, :, None] * eye[None, :, None, :]  # [to, from] -> |to><from|
 
-    level_tuples: tuple[tuple[str, ...], ...]
-    labels: tuple[str, ...]
-    level_ops: dict  # (atom, from level, to level) -> read-only |to><from|
-    r_projectors: tuple[np.ndarray, ...]  # per atom
-    raising: tuple[np.ndarray, ...]  # per atom, |r><g|
-    double_excitation: np.ndarray
-    interaction: np.ndarray | None  # U * P_rr in rad/us, two atoms only
-    channels_drive: tuple[LindbladChannel, ...]
-    channels_idle: tuple[LindbladChannel, ...]
-    wavevector: float
-    nominal_positions: tuple[float, ...]
+    def kron(a, b):
+        # np.kron of the last two axes, leading axes broadcast
+        out = a[..., :, None, :, None] * b[..., None, :, None, :]
+        return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], -1)
 
-    @classmethod
-    def build(cls, system: SystemModel) -> "_OperatorTable":
-        n = system.n_atoms
-        if n == 1:
-            levels = tuple((lvl,) for lvl in SINGLE_ATOM_LEVELS)
-        elif system.blockade_model == "projected":
-            levels = (("g", "g"), ("g", "r"), ("r", "g"))
-        else:
-            levels = tuple(itertools.product(SINGLE_ATOM_LEVELS, repeat=2))
-        index = {t: i for i, t in enumerate(levels)}
-        dim = len(levels)
+    def placed(factors):
+        op = functools.reduce(kron, factors)[kept].astype(complex, order="C")
+        op.setflags(write=False)
+        return op
 
-        ops = {}
-        for atom, frm, to in itertools.product(range(n), SINGLE_ATOM_LEVELS, SINGLE_ATOM_LEVELS):
-            op = np.zeros((dim, dim), dtype=complex)
-            for i, t in enumerate(levels):
-                if t[atom] != frm:
-                    continue
-                j = index.get(t[:atom] + (to,) + t[atom + 1 :])
-                if j is not None:
-                    op[j, i] = 1.0
-            op.setflags(write=False)
-            ops[atom, frm, to] = op
-
-        double = np.zeros((dim, dim), dtype=complex)
-        for i, t in enumerate(levels):
-            if all(lvl == "r" for lvl in t):
-                double[i, i] = 1.0
-        double.setflags(write=False)
-        interaction = None
-        if n == 2:
-            interaction = mhz_to_angular(system.two_atom.interaction_u_mhz) * double
-            interaction.setflags(write=False)
-
-        return cls(
-            level_tuples=levels,
-            labels=tuple("".join(t) for t in levels),
-            level_ops=ops,
-            r_projectors=tuple(ops[atom, "r", "r"] for atom in range(n)),
-            raising=tuple(ops[atom, "g", "r"] for atom in range(n)),
-            double_excitation=double,
-            interaction=interaction,
-            channels_drive=_channels(system, ops, drive_on=True),
-            channels_idle=_channels(system, ops, drive_on=False),
-            wavevector=effective_wavevector(system.atom),
-            nominal_positions=(0.0,) if n == 1 else system.two_atom.positions_um,
-        )
-
-
-def _channels(system: SystemModel, ops: dict, drive_on: bool) -> tuple[LindbladChannel, ...]:
-    chans: list[LindbladChannel] = []
-    for atom in range(system.n_atoms):
-        if system.scattering:
-            if drive_on and system.atom.gamma_blue_scatter > 0:
-                chans.append(
-                    LindbladChannel.from_rate(
-                        system.atom.gamma_blue_scatter, ops[atom, "g", "g"]
-                    )
-                )
-            if system.atom.gamma_red_scatter > 0:
-                chans.append(
-                    LindbladChannel.from_rate(
-                        system.atom.gamma_red_scatter, ops[atom, "r", "g"]
-                    )
-                )
-        if system.blackbody:
-            chans.append(
-                LindbladChannel.from_rate(
-                    1.0 / rydberg_lifetime(system.atom), ops[atom, "r", "r'"]
-                )
-            )
-    if system.gamma_laser > 0:
-        collective = sum(ops[atom, "r", "r"] for atom in range(system.n_atoms))
-        chans.append(LindbladChannel.from_rate(2.0 * system.gamma_laser, collective))
-    return tuple(chans)
+    ops = {}
+    for atom in range(n_atoms):
+        # all nine |to><from| of one atom at once, as a (3, 3, d, d) stack
+        stack = placed([units if k == atom else eye for k in range(n_atoms)])
+        for (i, to), (j, frm) in itertools.product(enumerate(SINGLE_ATOM_LEVELS), repeat=2):
+            ops[atom, frm, to] = stack[i, j]
+    r = SINGLE_ATOM_LEVELS.index("r")
+    return levels, ops, placed([units[r, r]] * n_atoms)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -284,3 +287,32 @@ class TestOperatorTable:
             for g, r in zip(got, ref):
                 np.testing.assert_array_equal(g, r)
         assert system.channels(True) is system.channels(True)
+
+    def test_equal_models_share_read_only_level_operators(self, system):
+        twin = dataclasses.replace(system)
+        assert twin is not system and twin == system
+        for atom in range(system.n_atoms):
+            for frm, to in itertools.product(("g", "r", "r'"), repeat=2):
+                op = system.level_operator(atom, frm, to)
+                assert twin.level_operator(atom, frm, to) is op
+                assert not op.flags.writeable
+        double = system.double_excitation_projector()
+        assert twin.double_excitation_projector() is double
+        assert not double.flags.writeable
+
+    def test_unpickled_model_builds_equal_hamiltonians_and_channels(self, system):
+        # a fresh copy carries nothing it built, so the unpickled model rebuilds all
+        twin = pickle.loads(pickle.dumps(dataclasses.replace(system)))
+        noise = NoiseSample((37.0, -12.5)[: system.n_atoms], (0.08, -0.03)[: system.n_atoms])
+        for element in (
+            GlobalDrive(0.3, 2.0, detuning_mhz=0.4, phase=1.1),
+            Wait(0.5),
+            LocalPhaseGate(0.2, target_atom=system.n_atoms - 1, crosstalk_fraction=0.1),
+        ):
+            assert np.array_equal(twin.hamiltonian(element, noise),
+                                  system.hamiltonian(element, noise))
+        for drive_on in (True, False):
+            got, ref = twin.channels(drive_on), system.channels(drive_on)
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                assert np.array_equal(g.operator, r.operator)
