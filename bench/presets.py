@@ -17,8 +17,11 @@ repeats of the wall time and of ``cpu_s``, the user plus system time
 runs once, on this tree. The output also records the machine as
 ``perfbench/run.py`` does: cores, Python, numpy and its BLAS, the thread
 environment, the commit and the load average. With ``--parent`` the
-parent's figures go under ``baseline``, with the ratio of each median
-wall time to the parent's in ``wall_ratio_to_baseline``.
+parent's figures go under ``baseline``, and ``wall_ratio_to_baseline``
+holds, per preset and worker count, the median over the repeats of each
+back-to-back pair's ratio of this tree's wall time to the parent's: a
+pair shares the host's state, so its ratio drops most of the drift that a
+ratio of the two medians keeps.
 """
 
 from __future__ import annotations
@@ -106,6 +109,17 @@ def summarize(samples: dict) -> dict:
     }
 
 
+def wall_ratios(change: dict, parent: dict) -> dict:
+    """Per preset and worker count, the median of the per-repeat wall-time
+    ratios change/parent of two ``summarize`` results of one run plan."""
+    ratios: dict = {}
+    for name, runs in change["presets"].items():
+        for key, v in runs.items():
+            pairs = zip(v["wall_s_runs"], parent["presets"][name][key]["wall_s_runs"], strict=True)
+            ratios.setdefault(name, {})[key] = round(statistics.median(c / p for c, p in pairs), 3)
+    return ratios
+
+
 def run_tier1(work: Path) -> dict:
     log = work / "tier1.txt"
     sample = timed([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
@@ -131,11 +145,7 @@ def main(argv=None) -> int:
     if args.parent:
         base = results[trees[1]]
         record["baseline"] = {"tree": str(trees[1]), "git_commit": commit(trees[1]), **base}
-        record["wall_ratio_to_baseline"] = {
-            name: {key: round(v["wall_s"] / base["presets"][name][key]["wall_s"], 3)
-                   for key, v in runs.items()}
-            for name, runs in record["presets"].items()
-        }
+        record["wall_ratio_to_baseline"] = wall_ratios(results[ROOT], base)
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _kron
 from .units import TWO_PI, angular_to_krad_s
 
 # CODATA values, hard-coded.
@@ -229,6 +230,13 @@ class DetectionModel:
         return _confusion_matrix(level_tuples, self.fg_at(trap_off_time_us), self.f_r)
 
 
+def _product_index(levels: tuple[str, ...]) -> int:
+    """Position of a per-atom level tuple in the full (g, r, r')^n product
+    basis, atom 1 most significant."""
+    digits = [SINGLE_ATOM_LEVELS.index(level) for level in levels]
+    return int(np.ravel_multi_index(digits, (len(SINGLE_ATOM_LEVELS),) * len(digits)))
+
+
 @functools.lru_cache(maxsize=256)
 def _confusion_matrix(
     level_tuples: tuple[tuple[str, ...], ...], f_g: float, f_r: float
@@ -236,14 +244,9 @@ def _confusion_matrix(
     # Kronecker product of the per-atom 2x3 matrices whose rows are
     # (recaptured, lost) and whose columns are (g, r, r'), restricted to
     # the columns of the basis states the system keeps
-    n_atoms = len(level_tuples[0])
     per_atom = np.array([[f_g, 1.0 - f_r, 1.0 - f_r], [1.0 - f_g, f_r, f_r]])
-    full = functools.reduce(np.kron, [per_atom] * n_atoms)
-    columns = [
-        sum(SINGLE_ATOM_LEVELS.index(lvl) * 3 ** (n_atoms - 1 - k) for k, lvl in enumerate(t))
-        for t in level_tuples
-    ]
-    c = np.ascontiguousarray(full[:, columns])
+    full = functools.reduce(_kron, [per_atom] * len(level_tuples[0]))
+    c = np.ascontiguousarray(full[:, [_product_index(t) for t in level_tuples]])
     c.setflags(write=False)
     return c
 

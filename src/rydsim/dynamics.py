@@ -98,10 +98,17 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
 
 
-def require_hermitian(m, tol: float = HERMITICITY_TOL, name: str = "matrix") -> None:
+def require_hermitian(m, name: str = "matrix") -> None:
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e} > {tol:.1e})")
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.1e})")
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product over the last two axes, leading axes broadcast: the
+    one product-basis rule (np.kron's result, at a fraction of its call cost)."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def tensor(a, b) -> np.ndarray:
@@ -110,9 +117,7 @@ def tensor(a, b) -> np.ndarray:
     Atom 1 is the left factor, so for two qubits the composite basis order
     is gg, gr, rg, rr.
     """
-    a = as_square_matrix(a, "left factor")
-    b = as_square_matrix(b, "right factor")
-    return np.kron(a, b)
+    return _kron(as_square_matrix(a, "left factor"), as_square_matrix(b, "right factor"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +138,7 @@ class DensityMatrix:
             )
         if len(set(self.basis_labels)) != self.dim:
             raise ValueError("basis labels must be unique")
-        require_hermitian(m, HERMITICITY_TOL, "density matrix")
+        require_hermitian(m, "density matrix")
         tr = float(np.real(np.trace(m)))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
@@ -223,7 +228,7 @@ class Segment:
         object.__setattr__(self, "hamiltonian", h)
         if not 0 <= self.duration < math.inf:
             raise ValueError(f"duration must be nonnegative and finite, got {self.duration}")
-        require_hermitian(h, HERMITICITY_TOL, "segment hamiltonian")
+        require_hermitian(h, "segment hamiltonian")
 
     @property
     def dim(self) -> int:
@@ -281,12 +286,6 @@ def _check_states(m: np.ndarray, where: str, positive: bool = True) -> None:
         raise FloatingPointError(f"positivity lost {where}")
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.kron has high call overhead for the small dims used here
-    d1, d2 = a.shape[0], b.shape[0]
-    return np.einsum("ij,kl->ikjl", a, b).reshape(d1 * d2, d1 * d2)
-
-
 def dissipator_superop(operators: np.ndarray) -> np.ndarray:
     """Superoperator of the jump terms of a (c, d, d) stack of jump operators
     (zero for c = 0); built on a ``_real_block`` miss and by ``liouvillian``."""
@@ -308,19 +307,13 @@ def liouvillian(hamiltonian, channels) -> np.ndarray:
     """
     h = as_square_matrix(hamiltonian, "hamiltonian")
     d = h.shape[0]
-    # -i (H (x) I - I (x) H^T), written entry by entry into the 4-index view
-    r = np.arange(d)
-    m = np.zeros((d, d, d, d), dtype=complex)
-    m[:, r, :, r] = -1j * h
-    m[r, :, r, :] += 1j * h.T
-    m = m.reshape(d * d, d * d)
+    eye = np.eye(d)
+    m = _kron(-1j * h, eye) + _kron(eye, 1j * h.T)  # -i (H (x) I - I (x) H^T)
     channels = tuple(channels)
+    for ch in channels:
+        if ch.dim != d:
+            raise ValueError(f"channel dim {ch.dim} does not match system dim {d}")
     if channels:
-        for ch in channels:
-            if ch.dim != d:
-                raise ValueError(
-                    f"channel dim {ch.dim} does not match system dim {d}"
-                )
         m += dissipator_superop(np.array([ch.operator for ch in channels]))
     return m
 
@@ -478,9 +471,9 @@ def evolve(rho0, segments, channels=(), dt_max: float = DEFAULT_DT_MAX,
     module docstring). For a DensityMatrix the segments run in turn and the
     trajectory is returned: it always includes the initial state and every
     segment boundary, and ``sample_dt`` adds interior samples at roughly
-    that spacing. For an (n, d, d) stack of states (a scan point's shots)
-    each state runs through its own one of n ``segments`` and the read-only
-    stack of end states is returned. The trace is never renormalized.
+    that spacing. An (n, d, d) stack of states (a scan point's shots) takes
+    no ``sample_dt``: each state runs through its own one of n ``segments``
+    and the read-only stack of end states is returned. No trace is rescaled.
 
     Raises ``ValueError`` on dimension mismatches and ``FloatingPointError``
     when a returned state is not finite, not Hermitian, has lost its trace
@@ -496,6 +489,8 @@ def evolve(rho0, segments, channels=(), dt_max: float = DEFAULT_DT_MAX,
         if item.dim != dim:
             raise ValueError(f"{type(item).__name__} dim {item.dim} != state dim {dim}")
     if not isinstance(rho0, DensityMatrix):
+        if sample_dt is not None:
+            raise ValueError("sample_dt needs a single DensityMatrix, not a stack of states")
         vecs = np.ascontiguousarray(rho0, dtype=complex).reshape(len(segments), -1)
         hams = np.array([seg.hamiltonian for seg in segments])
         durations = np.array([seg.duration for seg in segments])

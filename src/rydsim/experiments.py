@@ -34,9 +34,7 @@ from .fitting import fit_cosine, fit_damped_cosine, fit_decay
 from .montecarlo import (
     DEFAULT_SIGMA_POSITION_UM, EnsembleResult, EnsembleSpec, run_ensemble, shot_seed,
 )
-from .pulses import (
-    GlobalDrive, PulseSequence, SystemModel, collective_pi_time, compile_sequence,
-)
+from .pulses import PulseSequence, SystemModel, collective_pi_time, compile_sequence
 
 __all__ = [
     "ExperimentConfig",
@@ -91,16 +89,13 @@ class ExperimentConfig:
 
     def system(self) -> SystemModel:
         info = preset_info(self.preset)
-        blackbody = self.blackbody and not (
-            info.n_atoms == 2 and self.blockade_model == "projected"
-        )
         return SystemModel(
             atom=self.atom,
             n_atoms=info.n_atoms,
             two_atom=self.two_atom if info.n_atoms == 2 else None,
             blockade_model=self.blockade_model,
             scattering=self.scattering,
-            blackbody=blackbody,
+            blackbody=self.blackbody and self.blockade_model != "projected",
             gamma_laser=self.gamma_laser,
         )
 
@@ -265,7 +260,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"bad sequence for preset {info.name!r}: {exc}") from None
     system = cfg.system()  # surface inconsistent model/noise combinations now
     if info.name == "parity_scan":  # its analysis also runs the Bell-prep pulse
-        sequences.append(_bell_prep_sequence(cfg.params["rabi_mhz"]))
+        rabi = cfg.params["rabi_mhz"]
+        sequences.append(pulses._preset_blockade_rabi(collective_pi_time(rabi), rabi))
     try:  # a tabulated f_g must cover every trap-off time
         for seq in sequences if cfg.detection else ():
             compiled = compile_sequence(seq, system, ideal_pulses=cfg.ideal_pulses)
@@ -434,13 +430,10 @@ def _analyze_blockade(cfg: ExperimentConfig, res: EnsembleResult) -> list[Derive
     ]
 
 
-def _bell_prep_sequence(rabi_mhz: float) -> PulseSequence:
-    """The collective pi pulse that prepares the Bell state the parity scan reads."""
-    return PulseSequence((GlobalDrive(collective_pi_time(rabi_mhz), rabi_mhz),), n_atoms=2)
-
-
 def _bell_prep_probabilities(cfg: ExperimentConfig) -> EnsembleResult:
-    seq = _bell_prep_sequence(cfg.params["rabi_mhz"])
+    # the collective pi pulse that prepares the Bell state the parity scan reads
+    rabi = cfg.params["rabi_mhz"]
+    seq = pulses._preset_blockade_rabi(collective_pi_time(rabi), rabi)
     spec = dataclasses.replace(cfg.ensemble_spec(), build=lambda _value: seq)
     # a master seed of its own (scan index -1, which no scan point has), so
     # these shots do not repeat the noise draws of parity point 0

@@ -66,7 +66,7 @@ def _validate_xy(t, y, min_points: int):
     return t, y
 
 
-def _gauss_newton(model_jac, p0, max_iter=MAX_ITERATIONS):
+def _gauss_newton(model_jac, p0):
     """Minimize ||model(p) - y||^2 by damped Gauss-Newton.
 
     ``model_jac(p)`` returns (residual, jacobian). Returns
@@ -78,7 +78,7 @@ def _gauss_newton(model_jac, p0, max_iter=MAX_ITERATIONS):
     lam = 1e-6
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         grad = jac.T @ r
         gnorm = float(np.max(np.abs(grad)))
         if gnorm < GRADIENT_TOL * (1.0 + cost):

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import SINGLE_ATOM_LEVELS, AtomParams, effective_wavevector, rydberg_lifetime
+from .atoms import (SINGLE_ATOM_LEVELS, AtomParams, _product_index, effective_wavevector,
+                    rydberg_lifetime)
 from .blockade import TwoAtomParams
-from .dynamics import DEFAULT_DT_MAX, DensityMatrix, LindbladChannel, Segment
+from .dynamics import DEFAULT_DT_MAX, DensityMatrix, LindbladChannel, Segment, _kron
 from .units import TWO_PI, krad_s_to_angular, mhz_to_angular
 
 __all__ = [
@@ -165,11 +166,13 @@ class SystemModel:
             raise ValueError(f"n_atoms must be 1 or 2, got {self.n_atoms}")
         if self.blockade_model not in ("full", "projected"):
             raise ValueError(f"unknown blockade model {self.blockade_model!r}")
+        if self.blockade_model == "projected" and self.n_atoms != 2:
+            raise ValueError(f"the projected blockade model needs two atoms, got {self.n_atoms}")
         if self.n_atoms == 2 and self.two_atom is None:
             object.__setattr__(self, "two_atom", TwoAtomParams())
         if not (self.gamma_laser >= 0):
             raise ValueError(f"negative gamma_laser {self.gamma_laser}")
-        if self.n_atoms == 2 and self.blockade_model == "projected" and self.blackbody:
+        if self.blockade_model == "projected" and self.blackbody:
             raise ValueError(
                 "the projected two-atom model has no r' state; disable blackbody "
                 "or use the full model"
@@ -290,22 +293,16 @@ class SystemModel:
 def _level_operators(n_atoms: int, blockade_model: str):
     """The kept level tuples, every read-only |to><from| keyed by
     (atom, from, to), and the projector on the all-r state."""
-    full = list(itertools.product(SINGLE_ATOM_LEVELS, repeat=n_atoms))
-    levels = tuple(full)
-    if n_atoms == 2 and blockade_model == "projected":
+    levels = tuple(itertools.product(SINGLE_ATOM_LEVELS, repeat=n_atoms))
+    if blockade_model == "projected":
         # infinite blockade: no doubly excited state, and no r' to decay to
-        levels = tuple(t for t in full if "r'" not in t and t.count("r") < 2)
-    kept = (...,) + np.ix_(*[[full.index(t) for t in levels]] * 2)
+        levels = tuple(t for t in levels if "r'" not in t and t.count("r") < 2)
+    kept = (...,) + np.ix_(*[[_product_index(t) for t in levels]] * 2)
     eye = np.eye(3)
-    units = eye[:, None, :, None] * eye[None, :, None, :]  # [to, from] -> |to><from|
-
-    def kron(a, b):
-        # np.kron over the last two axes (leading axes broadcast), at half np.kron's cost
-        out = a[..., :, None, :, None] * b[..., None, :, None, :]
-        return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], -1)
+    units = np.eye(9).reshape(3, 3, 3, 3)  # [to, from] -> |to><from|
 
     def placed(factors):
-        op = functools.reduce(kron, factors)[kept].astype(complex, order="C")
+        op = functools.reduce(_kron, factors)[kept].astype(complex, order="C")
         op.setflags(write=False)
         return op
 

@@ -376,6 +376,9 @@ class TestNonFiniteArguments:
         for sample_dt in (-1.0, math.inf):
             with pytest.raises(ValueError, match=f"sample_dt must be positive and finite, got {sample_dt}"):
                 evolve(rho0, [Segment(drive_hamiltonian(2.0, 2), 0.01)], sample_dt=sample_dt)
+        # a stack of states returns only end states, so it has nothing to sample
+        with pytest.raises(ValueError, match="sample_dt needs a single DensityMatrix"):
+            evolve(rho0.matrix[None], [Segment(drive_hamiltonian(2.0, 2), 0.01)], sample_dt=0.005)
 
     def test_evolve_rejects_nan_dt_max(self):
         rho0 = DensityMatrix.pure("g", GR_BASIS)
