@@ -473,7 +473,8 @@ def evolve(rho0, segments, channels=(), dt_max: float = DEFAULT_DT_MAX,
     segment boundary, and ``sample_dt`` adds interior samples at roughly
     that spacing. An (n, d, d) stack of states (a scan point's shots) takes
     no ``sample_dt``: each state runs through its own one of n ``segments``
-    and the read-only stack of end states is returned. No trace is rescaled.
+    and the read-only stack of end states is returned. The trace is never
+    renormalized.
 
     Raises ``ValueError`` on dimension mismatches and ``FloatingPointError``
     when a returned state is not finite, not Hermitian, has lost its trace
