@@ -22,17 +22,27 @@ holds, per preset and worker count, the median over the repeats of each
 back-to-back pair's ratio of this tree's wall time to the parent's: a
 pair shares the host's state, so its ratio drops most of the drift that a
 ratio of the two medians keeps.
+
+Each repeat also runs a control for the pool's extra CPU: right after a
+preset's pairs, its 1-worker run starts ``CONTROL_COPIES`` times at once
+on this tree, each process timed by its own ``os.wait4``. Its medians over
+every process of every repeat go under ``concurrent_1``, next to
+``workers_1`` and ``workers_2``: a 2-worker ``cpu_s`` as far above
+``workers_1`` as the control is comes from two busy processes on the
+host, not from the pool.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +52,7 @@ from run import _env, _timed as timed, environment  # noqa: E402
 
 WORKERS = (1, 2)
 REPEATS = 3
+CONTROL_COPIES = 2
 
 
 def preset_names() -> list[str]:
@@ -69,33 +80,92 @@ def run_plan(names: list[str], trees: list[Path]) -> list[tuple[int, str, int, P
     ]
 
 
+def schedule(names: list[str], trees: list[Path]) -> list[tuple[int, str, int, Path, int]]:
+    """``run_plan`` with the concurrency control added, as (repeat, preset,
+    workers, tree, copies): each entry of the plan has one copy, and right
+    after a preset's last pair of a repeat comes its 1-worker run on this
+    tree with ``CONTROL_COPIES`` copies started at once."""
+    plan = run_plan(names, trees)
+    out = []
+    for i, (repeat, name, workers, tree) in enumerate(plan):
+        out.append((repeat, name, workers, tree, 1))
+        if i + 1 == len(plan) or plan[i + 1][:2] != (repeat, name):
+            out.append((repeat, name, 1, ROOT, CONTROL_COPIES))
+    return out
+
+
+def timed_together(commands: list[list[str]], logs: list[Path]) -> list[dict]:
+    """Start every command at once, then reap each with its own ``os.wait4``:
+    per process, the wall time to its end, its exit code and its CPU time."""
+    samples: list = [None] * len(commands)
+    running: dict = {}  # pid -> (index, process)
+    with contextlib.ExitStack() as stack:
+        outs = [stack.enter_context(open(log, "wb")) for log in logs]
+        start = time.perf_counter()
+        try:
+            for i, (command, out) in enumerate(zip(commands, outs, strict=True)):
+                proc = subprocess.Popen(command, cwd=ROOT, env=_env(), stdout=out,
+                                        stderr=subprocess.STDOUT)
+                running[proc.pid] = (i, proc)
+            while running:
+                pid, status, usage = os.wait4(-1, 0)
+                i, proc = running.pop(pid)
+                proc.returncode = os.waitstatus_to_exitcode(status)
+                samples[i] = {"wall_s": time.perf_counter() - start, "exit": proc.returncode,
+                              "cpu_s": usage.ru_utime + usage.ru_stime}
+        except BaseException:
+            for _, proc in running.values():
+                proc.kill()
+                proc.wait()
+            raise
+    return samples
+
+
 def run_presets(work: Path, trees: list[Path]) -> dict[Path, dict]:
     samples: dict = {}
-    for repeat, name, workers, tree in run_plan(preset_names(), trees):
-        rundir = work / f"{name}_{workers}_{repeat}_{trees.index(tree)}"
-        rundir.mkdir()
-        config = rundir / "config.yaml"
-        config.write_text(json.dumps({"preset": name, "n_workers": workers,
-                                      "output_dir": str(rundir / "out")}), encoding="utf-8")
-        # env(1) replaces itself with Python, so wait4 still sees the run
-        sample = timed(["env", f"PYTHONPATH={tree / 'src'}", sys.executable, "-m", "rydsim.cli",
-                        "run", str(config)], rundir / "log.txt")
-        if sample["exit"] != 0:
-            raise RuntimeError(f"{name} with {workers} worker(s) failed; see {rundir}")
-        samples.setdefault(tree, {}).setdefault((name, workers), []).append(sample)
-        print(f"{tree} {name} workers={workers} repeat={repeat}: {sample['wall_s']:.2f} s",
+    control: dict = {}  # preset -> the control's processes, all on this tree
+    for repeat, name, workers, tree, copies in schedule(preset_names(), trees):
+        commands, logs = [], []
+        for copy in range(copies):
+            rundir = work / f"{name}_{workers}_{repeat}_{trees.index(tree)}_{copy}_of_{copies}"
+            rundir.mkdir()
+            config = rundir / "config.yaml"
+            config.write_text(json.dumps({"preset": name, "n_workers": workers,
+                                          "output_dir": str(rundir / "out")}), encoding="utf-8")
+            # env(1) replaces itself with Python, so wait4 still sees the run
+            commands.append(["env", f"PYTHONPATH={tree / 'src'}", sys.executable, "-m",
+                             "rydsim.cli", "run", str(config)])
+            logs.append(rundir / "log.txt")
+        runs = timed_together(commands, logs)
+        if any(run["exit"] != 0 for run in runs):
+            raise RuntimeError(f"{name} with {workers} worker(s) failed; see {logs[0].parent}")
+        if copies == 1:
+            samples.setdefault(tree, {}).setdefault((name, workers), []).extend(runs)
+        else:
+            control.setdefault(name, []).extend(runs)
+        walls = ", ".join(f"{run['wall_s']:.2f}" for run in runs)
+        print(f"{tree} {name} workers={workers} copies={copies} repeat={repeat}: {walls} s",
               file=sys.stderr)
-    return {tree: summarize(runs) for tree, runs in samples.items()}
+    return {tree: summarize(runs, control if tree == ROOT else None)
+            for tree, runs in samples.items()}
 
 
-def summarize(samples: dict) -> dict:
+def _medians(runs: list[dict]) -> dict:
+    return {
+        "wall_s": statistics.median(r["wall_s"] for r in runs),
+        "cpu_s": statistics.median(r["cpu_s"] for r in runs),
+        "wall_s_runs": [r["wall_s"] for r in runs],
+    }
+
+
+def summarize(samples: dict, control: dict | None = None) -> dict:
+    """Medians per preset and worker count; ``control`` (preset -> the
+    concurrency control's processes) goes under ``concurrent_1``."""
     presets: dict = {}
     for (name, workers), runs in samples.items():
-        presets.setdefault(name, {})[f"workers_{workers}"] = {
-            "wall_s": statistics.median(r["wall_s"] for r in runs),
-            "cpu_s": statistics.median(r["cpu_s"] for r in runs),
-            "wall_s_runs": [r["wall_s"] for r in runs],
-        }
+        presets.setdefault(name, {})[f"workers_{workers}"] = _medians(runs)
+    for name, runs in (control or {}).items():
+        presets[name]["concurrent_1"] = _medians(runs)
     return {
         "presets": presets,
         "all_presets_wall_s": {
@@ -114,8 +184,9 @@ def wall_ratios(change: dict, parent: dict) -> dict:
     ratios change/parent of two ``summarize`` results of one run plan."""
     ratios: dict = {}
     for name, runs in change["presets"].items():
-        for key, v in runs.items():
-            pairs = zip(v["wall_s_runs"], parent["presets"][name][key]["wall_s_runs"], strict=True)
+        for key in (f"workers_{w}" for w in WORKERS):
+            pairs = zip(runs[key]["wall_s_runs"], parent["presets"][name][key]["wall_s_runs"],
+                        strict=True)
             ratios.setdefault(name, {})[key] = round(statistics.median(c / p for c, p in pairs), 3)
     return ratios
 

@@ -98,12 +98,6 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
 
 
-def require_hermitian(m, name: str = "matrix") -> None:
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.1e})")
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product over the last two axes, leading axes broadcast: the
     one product-basis rule (np.kron's result, at a fraction of its call cost)."""
@@ -138,10 +132,7 @@ class DensityMatrix:
             )
         if len(set(self.basis_labels)) != self.dim:
             raise ValueError("basis labels must be unique")
-        require_hermitian(m, "density matrix")
-        tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} is not 1")
+        _check_states(m[None], "in a density matrix", positive=False, error=ValueError)
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray, basis_labels: tuple[str, ...]) -> "DensityMatrix":
@@ -228,7 +219,8 @@ class Segment:
         object.__setattr__(self, "hamiltonian", h)
         if not 0 <= self.duration < math.inf:
             raise ValueError(f"duration must be nonnegative and finite, got {self.duration}")
-        require_hermitian(h, "segment hamiltonian")
+        if hermiticity_defect(h) > HERMITICITY_TOL:
+            raise ValueError("segment hamiltonian is not Hermitian")
 
     @property
     def dim(self) -> int:
@@ -273,17 +265,17 @@ def apply_unitary(rho, u):
     return DensityMatrix(u @ rho.matrix @ u.conj().T, rho.basis_labels)
 
 
-def _check_states(m: np.ndarray, where: str, positive: bool = True) -> None:
-    """Raise FloatingPointError unless every state of the (n, d, d) stack is
-    finite, Hermitian, of unit trace and (with ``positive``) positive."""
+def _check_states(m, where: str, positive: bool = True, error=FloatingPointError) -> None:
+    """Raise ``error`` unless every state of the (n, d, d) stack is finite,
+    Hermitian, of unit trace and (with ``positive``) positive."""
     if not np.isfinite(m).all():
-        raise FloatingPointError(f"NaN/Inf in state {where}")
+        raise error(f"NaN/Inf in state {where}")
     if hermiticity_defect(m) > HERMITICITY_TOL:
-        raise FloatingPointError(f"Hermiticity lost {where}")
+        raise error(f"Hermiticity lost {where}")
     if np.abs(m.diagonal(0, 1, 2).real.sum(axis=1) - 1.0).max() > TRACE_TOL:
-        raise FloatingPointError(f"trace diverged {where}")
+        raise error(f"trace diverged {where}")
     if positive and np.linalg.eigvalsh(m).min() < -1e-6:
-        raise FloatingPointError(f"positivity lost {where}")
+        raise error(f"positivity lost {where}")
 
 
 def dissipator_superop(operators: np.ndarray) -> np.ndarray:

@@ -57,6 +57,7 @@ _NOISE_KEYS = {"doppler", "positions", "scattering", "blackbody", "gamma_laser",
                "sigma_position_um"}
 # The only numbers that may be infinite: .inf switches that decay off.
 _MAY_BE_INFINITE = {"atom.t_blackbody_us", "atom.t_radiative_us"}
+_SCAN_KEYS = ("start", "stop", "points")  # a config's scan: keys, in ExperimentConfig.scan order
 
 
 class ConfigError(ValueError):
@@ -224,7 +225,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     defaults["noise"] = {key: defaults.pop(key) for key in _NOISE_KEYS}
     defaults.update(
         preset="",
-        scan=dict(zip(("start", "stop", "points"), info.default_scan)),
+        scan=dict(zip(_SCAN_KEYS, info.default_scan)),
         n_shots=info.default_shots,
         sequence=info.sequence_defaults,
     )
@@ -237,7 +238,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     scan = {**defaults["scan"], **values.pop("scan", {})}
     cfg = ExperimentConfig(
         **{"n_shots": info.default_shots, **values},
-        scan=(scan["start"], scan["stop"], scan["points"]),
+        scan=tuple(scan[key] for key in _SCAN_KEYS),
         raw=data,
     )
 
@@ -252,8 +253,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _require(cfg.sigma_position_um >= 0,
              f"noise.sigma_position_um must be >= 0, got {cfg.sigma_position_um}")
     worker_count(cfg.n_workers, "n_workers")
-    _require(cfg.blockade_model in ("full", "projected"),
-             f"unknown blockade model {cfg.blockade_model!r}")
     try:  # surface builder errors (negative durations, overlong gates) now
         sequences = [info.build(value, **cfg.sequence) for value in (start, stop)]
     except (TypeError, ValueError) as exc:
@@ -662,11 +661,7 @@ def list_presets() -> list[dict]:
             "description": info.description,
             "n_atoms": info.n_atoms,
             "scan_variable": info.scan_variable,
-            "default_scan": {
-                "start": info.default_scan[0],
-                "stop": info.default_scan[1],
-                "points": info.default_scan[2],
-            },
+            "default_scan": dict(zip(_SCAN_KEYS, info.default_scan)),
             "default_shots": info.default_shots,
             "sequence_defaults": info.sequence_defaults,
             "observable": f"P_{info.observable}",
@@ -688,10 +683,6 @@ class RunManifest:
     data_file: str
 
 
-def _format(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def write_csv(path: Path, cfg: ExperimentConfig, res: EnsembleResult) -> None:
     info = preset_info(cfg.preset)
     lines = [
@@ -701,21 +692,13 @@ def write_csv(path: Path, cfg: ExperimentConfig, res: EnsembleResult) -> None:
         "# t_us: scanned time value;"
         " P_<s>: probability of measuring pattern <s> (g = recaptured, r = lost);"
         " *_ci_lo/_ci_hi: 68% Wilson interval",
+        ",".join(["t_us"] + [f"P_{o}{e}" for o in res.outcomes for e in ("", "_ci_lo", "_ci_hi")]),
     ]
-    header = ["t_us"]
-    for o in res.outcomes:
-        header += [f"P_{o}", f"P_{o}_ci_lo", f"P_{o}_ci_hi"]
-    lines.append(",".join(header))
-    for i, t in enumerate(res.scan_values):
-        row = [_format(t)]
-        for j in range(len(res.outcomes)):
-            row += [
-                _format(res.probabilities[i, j]),
-                _format(res.ci_low[i, j]),
-                _format(res.ci_high[i, j]),
-            ]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    triples = np.dstack([res.probabilities, res.ci_low, res.ci_high])  # each outcome's P, lo, hi
+    rows = np.column_stack([res.scan_values, triples.reshape(len(triples), -1)])
+    # given a path, np.savetxt imports gzip; an open handle skips that
+    with open(path, "w", encoding="utf-8") as fh:
+        np.savetxt(fh, rows, fmt="%.12g", delimiter=",", header="\n".join(lines), comments="")
 
 
 def _jsonify(obj):

@@ -182,14 +182,14 @@ def _run_scan_point(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (spec, value, scan_index, n_shots, mode, master_seed) = args
     system = spec.system
     rho0 = system.initial_state()
-    seq = spec.build(value)
+    seq, sigma_doppler = spec.build(value), spec.doppler_width()  # one width for every shot
 
     # the shot loop only draws and compiles; each shot keeps its generator
     # for its sampled-mode draw, and all shots propagate as one stack
     rngs, compiled = [], []
     for shot in range(n_shots):
         rng = np.random.default_rng(shot_seed(master_seed, scan_index, shot))
-        noise = sample_noise(spec.doppler_width(), spec.sigma_position_um, system.n_atoms, rng)
+        noise = sample_noise(sigma_doppler, spec.sigma_position_um, system.n_atoms, rng)
         compiled.append(compile_sequence(seq, system, noise, ideal_pulses=spec.ideal_pulses))
         rngs.append(rng)
     p = run_compiled(compiled, rho0, dt_max=spec.dt_max).diagonal(axis1=1, axis2=2).real
@@ -241,6 +241,8 @@ def run_ensemble(
     if not -2**63 <= master_seed < 2**63:
         raise ValueError(f"master_seed must be a signed 64-bit integer, got {master_seed}")
     values = np.asarray(list(scan_values), dtype=float)
+    if not values.size:
+        raise ValueError("scan_values is empty; a scan needs at least one value")
     outcomes = measured_outcomes(spec.system.n_atoms)
 
     tasks = [

@@ -324,10 +324,6 @@ class CompiledStep:
     segment: Segment | None = None
     unitary: np.ndarray | None = None
 
-    def __post_init__(self):
-        if (self.segment is None) == (self.unitary is None):
-            raise ValueError("a step is exactly one of segment or unitary")
-
 
 @dataclass(frozen=True)
 class CompiledSequence:
@@ -363,10 +359,6 @@ def compile_sequence(
         )
     if noise is None:
         noise = zero_noise(system.n_atoms)
-    if noise.n_atoms != system.n_atoms:
-        raise ValueError(
-            f"noise sample has {noise.n_atoms} atom(s), system {system.n_atoms}"
-        )
 
     steps: list[CompiledStep] = []
     for el in seq.elements:

@@ -53,3 +53,45 @@ def test_wall_ratio_is_the_median_of_the_back_to_back_pair_ratios(monkeypatch):
     ratios = presets.wall_ratios(summary(change_runs), summary(parent_runs))
     # pair ratios 0.5, 3 and 1.111: their median, not the ratio of the medians (3 / 2)
     assert ratios == {"rabi": {f"workers_{w}": 1.111 for w in presets.WORKERS}}
+
+
+def test_control_runs_each_preset_once_per_repeat_right_after_its_pairs(monkeypatch):
+    presets = load_presets(monkeypatch)
+    names, trees = ["rabi", "t1", "w_echo"], [Path("change"), Path("parent")]
+    steps = presets.schedule(names, trees)
+    assert [step[:4] for step in steps if step[4] == 1] == presets.run_plan(names, trees)
+
+    controls = [i for i, step in enumerate(steps) if step[4] != 1]
+    assert presets.CONTROL_COPIES == 2
+    assert [steps[i] for i in controls] == [
+        (repeat, name, 1, presets.ROOT, 2) for repeat in range(presets.REPEATS) for name in names
+    ]
+    for i in controls:  # after the preset's last pair of that repeat, before anything else
+        repeat, name = steps[i][:2]
+        assert steps[i - 1][:2] == (repeat, name)
+        assert all(step[:2] != (repeat, name) for step in steps[i + 1:])
+
+
+def test_control_processes_start_together_and_each_has_its_own_wait4(monkeypatch, tmp_path):
+    presets = load_presets(monkeypatch)
+    started, reaped = [], []
+
+    class FakeProcess:
+        def __init__(self, command, **kwargs):
+            started.append(command)
+            self.pid = 100 + len(started)
+
+    def fake_wait4(pid, options):
+        assert pid == -1 and len(started) == 2  # both run before either is reaped
+        done = 102 - len(reaped)  # the later one ends first
+        reaped.append(done)
+        usage = type("Usage", (), {"ru_utime": float(done), "ru_stime": 0.5})
+        return done, 0, usage
+
+    monkeypatch.setattr(subprocess, "Popen", FakeProcess)
+    monkeypatch.setattr(presets.os, "wait4", fake_wait4)
+    runs = presets.timed_together([["a"], ["b"]], [tmp_path / "a.log", tmp_path / "b.log"])
+    assert started == [["a"], ["b"]] and reaped == [102, 101]
+    assert [run["cpu_s"] for run in runs] == [101.5, 102.5]
+    assert [run["exit"] for run in runs] == [0, 0]
+    assert runs[0]["wall_s"] >= runs[1]["wall_s"]

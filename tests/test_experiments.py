@@ -401,11 +401,13 @@ class TestCli:
         ("rabi", "atom: {t_blackbody_us: .inf, t_radiative_us: .inf}"),
         ("rabi", "master_seed: 10000000000000000000"),
         ("rabi", "blockade_model: projected"),
+        ("blockade_rabi", "blockade_model: infinite"),
     ], ids=["nan_gamma_laser", "nan_red_scatter", "nan_interaction", "negative_sigma_position",
             "nan_sigma_position", "zero_workers", "negative_workers", "inf_temperature",
             "inf_position", "one_position", "nested_position", "inf_gamma_laser",
             "string_doppler", "string_counter_propagating", "string_dt_max",
-            "both_lifetimes_infinite", "master_seed_beyond_64_bits", "projected_one_atom"])
+            "both_lifetimes_infinite", "master_seed_beyond_64_bits", "projected_one_atom",
+            "unknown_blockade_model"])
     def test_bad_number_exits_1_without_traceback(self, tmp_path, capsys, preset_name, line):
         workers = "" if line.startswith("n_workers") else "n_workers: 1\n"
         config = tmp_path / "cfg.yaml"

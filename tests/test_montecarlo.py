@@ -244,6 +244,12 @@ class TestRunEnsemble:
             with pytest.raises(ValueError, match="master_seed must be a signed 64-bit integer"):
                 run_ensemble(spec, [3.0], n_shots=1, master_seed=seed)
 
+    def test_empty_scan_is_refused(self):
+        system = SystemModel(atom=AtomParams(), n_atoms=1)
+        spec = make_spec("ramsey", "gap", system)
+        with pytest.raises(ValueError, match="scan_values is empty"):
+            run_ensemble(spec, [], n_shots=3)
+
     def test_detection_shifts_probabilities(self):
         system = SystemModel(atom=AtomParams(), n_atoms=1)
         spec_raw = make_spec(

@@ -96,6 +96,9 @@ class TestCompile:
     def test_noise_sample_size_checked(self):
         with pytest.raises(ValueError):
             compile_sequence(preset("rabi", drive_time=0.5), bare_system(), zero_noise(2))
+        with pytest.raises(ValueError):  # ideal pulses draw the Doppler-free sample from it
+            compile_sequence(preset("rabi", drive_time=0.5), bare_system(), zero_noise(2),
+                             ideal_pulses=True)
 
     def test_projected_model_rejects_blackbody(self):
         with pytest.raises(ValueError, match="projected"):
