@@ -27,9 +27,9 @@ Each repeat also runs a control for the pool's extra CPU: right after a
 preset's pairs, its 1-worker run starts ``CONTROL_COPIES`` times at once
 on this tree, each process timed by its own ``os.wait4``. Its medians over
 every process of every repeat go under ``concurrent_1``, next to
-``workers_1`` and ``workers_2``: a 2-worker ``cpu_s`` as far above
-``workers_1`` as the control is comes from two busy processes on the
-host, not from the pool.
+``workers_1`` and ``workers_2``. Where the control's ``cpu_s`` sits as far
+above ``workers_1`` as the 2-worker one does, the pool's extra CPU comes
+from two busy processes on the host, not from the pool.
 """
 
 from __future__ import annotations
