@@ -88,8 +88,6 @@ class AtomParams:
 
 def two_photon_rabi(p: AtomParams) -> float:
     """Effective g-r Rabi frequency Omega_blue*Omega_red/(2*Delta), in MHz."""
-    if p.delta_intermediate_mhz == 0:
-        raise ValueError("intermediate detuning must be nonzero")
     return p.omega_blue_mhz * p.omega_red_mhz / (2.0 * p.delta_intermediate_mhz)
 
 

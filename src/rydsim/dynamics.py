@@ -463,10 +463,10 @@ def evolve(rho0, segments, channels=(), dt_max: float = DEFAULT_DT_MAX,
     module docstring). For a DensityMatrix the segments run in turn and the
     trajectory is returned: it always includes the initial state and every
     segment boundary, and ``sample_dt`` adds interior samples at roughly
-    that spacing. An (n, d, d) stack of states (a scan point's shots) takes
-    no ``sample_dt``: each state runs through its own one of n ``segments``
-    and the read-only stack of end states is returned. The trace is never
-    renormalized.
+    that spacing without changing the boundary states. An (n, d, d) stack
+    of states (a scan point's shots) takes no ``sample_dt``: each state runs
+    through its own one of n ``segments`` and the read-only stack of end
+    states is returned. The trace is never renormalized.
 
     Raises ``ValueError`` on dimension mismatches and ``FloatingPointError``
     when a returned state is not finite, not Hermitian, has lost its trace
@@ -512,19 +512,11 @@ def evolve(rho0, segments, channels=(), dt_max: float = DEFAULT_DT_MAX,
         n_steps = int(n_steps[0])
         h = seg.duration / n_steps
         chunk = n_steps if sample_dt is None else max(1, round(sample_dt / h))
-        ends = [*range(chunk, n_steps, chunk), n_steps]
-        # the chunk map is powered once, with the squarings of one chunk
-        chunk_map = _power_apply(maps, chunk, np.eye(len(basis))) if len(ends) > 1 else None
-        xs = []
-        for start, end in zip([0, *ends], ends):
-            if chunk_map is not None and end - start == chunk:
-                x = chunk_map @ x
-            else:
-                x = _power_apply(maps, end - start, x)
-            xs.append(x[0])
-        # the segment's samples are checked as one stack
-        states = _states(np.array(xs), basis, f"in t = {t:.6g} to {t + seg.duration:.6g} us")
-        for end, state in zip(ends, states):
+        ends = np.r_[chunk:n_steps:chunk, n_steps]
+        # each sample is its own power of the start state, so sampling leaves the end as it is
+        x = _power_apply(maps, ends, np.broadcast_to(x, (len(ends), *x.shape[1:])))
+        states = _states(x, basis, f"in t = {t:.6g} to {t + seg.duration:.6g} us")
+        for end, state in zip(ends.tolist(), states):
             time = t + (seg.duration if end == n_steps else end * h)
             trajectory.append((time, DensityMatrix._trusted(state, rho0.basis_labels)))
         state, t = states[-1], t + seg.duration

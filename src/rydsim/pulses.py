@@ -128,10 +128,6 @@ class NoiseSample:
         if not all(math.isfinite(v) for v in values):
             raise ValueError("non-finite noise sample")
 
-    @property
-    def n_atoms(self) -> int:
-        return len(self.doppler_krad_s)
-
 
 def zero_noise(n_atoms: int) -> NoiseSample:
     return NoiseSample((0.0,) * n_atoms, (0.0,) * n_atoms)

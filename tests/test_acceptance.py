@@ -7,7 +7,9 @@ failure). The same checks back ``rydsim check``.
 
 import pytest
 
+from rydsim import acceptance
 from rydsim.acceptance import ALL_CHECKS
+from rydsim.cli import main
 
 
 @pytest.mark.parametrize(
@@ -20,3 +22,21 @@ def test_acceptance_criterion(criterion, title, check):
     line = f"[{'PASS' if passed else 'FAIL'}] criterion {criterion} ({title}): {detail}"
     print(line)
     assert passed, line
+
+
+def diverged():
+    raise FloatingPointError("state diverged")
+
+
+@pytest.mark.parametrize("checks, code", [
+    ([lambda: (True, "ok"), lambda: (True, "ok")], 0),
+    ([lambda: (True, "ok"), lambda: (False, "off")], 2),
+    ([lambda: (True, "ok"), diverged], 2),
+])
+def test_check_exit_codes(monkeypatch, capsys, checks, code):
+    monkeypatch.setattr(acceptance, "ALL_CHECKS",
+                        [(n, f"stub {n}", fn) for n, fn in enumerate(checks, 1)])
+    assert main(["check"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("numerical failure: state diverged" in err) == (checks[-1] is diverged)

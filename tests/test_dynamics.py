@@ -96,6 +96,17 @@ class TestEvolve:
         traj = evolve(rho0, [Segment(drive_hamiltonian(2.0, 2), 1.0)], sample_dt=0.25)
         assert len(traj) >= 5
 
+    @pytest.mark.parametrize("sample_dt", [None, 0.25])
+    def test_zero_duration_segment_repeats_the_boundary(self, sample_dt):
+        rho0 = DensityMatrix.pure("g", GR_BASIS)
+        h = drive_hamiltonian(2.0, 2)
+        traj = evolve(rho0, [Segment(h, 1.0), Segment(h, 0.0), Segment(h, 0.5)],
+                      sample_dt=sample_dt)
+        times = [t for t, _ in traj]
+        i = times.index(1.0)
+        assert times[i + 1] == 1.0 and times[-1] == 1.5
+        assert traj[i + 1][1] is traj[i][1]
+
     def test_dimension_mismatch_raises(self):
         rho0 = DensityMatrix.pure("g", GR_BASIS)
         with pytest.raises(ValueError):

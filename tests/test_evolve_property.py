@@ -6,6 +6,9 @@ diagonal, and random sparse initial states. The reference is
 ``test_dynamics.complex_full_space``: the full d^2 x d^2 ``liouvillian``,
 its RK4 map and ``matrix_power``. Runs derandomized with a capped example
 count; needs the test-only dependency ``hypothesis``.
+
+The same cases also check that ``sample_dt`` leaves every segment's end
+state bit for bit as it is without sampling and in a stack of one.
 """
 
 from types import SimpleNamespace
@@ -17,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rydsim.atoms import AtomParams  # noqa: E402
-from rydsim.dynamics import TRACE_TOL, DensityMatrix, LindbladChannel, Segment  # noqa: E402
+from rydsim.dynamics import TRACE_TOL, DensityMatrix, LindbladChannel, Segment, evolve  # noqa: E402
 from rydsim.pulses import SystemModel  # noqa: E402
 import test_dynamics  # noqa: E402
 
@@ -74,3 +77,16 @@ def test_evolve_matches_complex_full_space(case):
         np.testing.assert_array_equal(m, m.conj().T)
         assert abs(m.trace().real - 1.0) <= TRACE_TOL
         assert np.linalg.eigvalsh(m)[0] >= -1e-6
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(cases())
+def test_sampling_leaves_segment_ends_unchanged(case):
+    rho0, segments, channels, _ = case
+    unsampled = evolve(rho0, segments, channels)
+    # the last sample at each boundary time, which is the segment's end
+    sampled = dict(evolve(rho0, segments, channels, sample_dt=0.05))
+    for seg, (_, start), (t, end) in zip(segments, unsampled, unsampled[1:]):
+        np.testing.assert_array_equal(sampled[t].matrix, end.matrix)
+        stacked = evolve(start.matrix[None], [seg], channels)[0]
+        np.testing.assert_array_equal(stacked, end.matrix)

@@ -148,6 +148,15 @@ class TestCosineFit:
         assert fit.params["amplitude"] >= 0
         assert abs(abs(fit.params["phase_rad"]) - math.pi) < 1e-7
 
+    def test_negative_frequency_guess_reports_positive_frequency(self):
+        # the fit lands on f = -1.5, phi = -0.4 and reports the canonical form
+        t = np.linspace(0, 2, 41)
+        y = 0.5 + 0.3 * np.cos(TWO_PI * 1.5 * t + 0.4)
+        fit = fit_cosine(t, y, freq_guess_mhz=-1.5)
+        assert abs(fit.params["frequency_mhz"] - 1.5) < 1e-9
+        assert abs(fit.params["amplitude"] - 0.3) < 1e-9
+        assert abs(fit.params["phase_rad"] - 0.4) < 1e-9
+
     def test_covariance_reported(self):
         rng = np.random.default_rng(8)
         t = np.linspace(0, 4, 120)
