@@ -21,7 +21,12 @@ parent's figures go under ``baseline``, and ``wall_ratio_to_baseline``
 holds, per preset and worker count, the median over the repeats of each
 back-to-back pair's ratio of this tree's wall time to the parent's: a
 pair shares the host's state, so its ratio drops most of the drift that a
-ratio of the two medians keeps.
+ratio of the two medians keeps. Three pairs still leave unchanged code
+outside ``RATIO_BAND`` now and then, so after the plan every (preset,
+workers) entry whose ratio lies outside it runs ``REPEATS`` more pairs,
+interleaved the same way. Its ratio, and its medians, are then over all
+its pairs, and ``wall_ratio_first_pass`` keeps the first-pass ratio of
+each such entry.
 
 Each repeat also runs a control for the pool's extra CPU: right after a
 preset's pairs, its 1-worker run starts ``CONTROL_COPIES`` times at once
@@ -52,6 +57,7 @@ from run import _env, _timed as timed, environment  # noqa: E402
 
 WORKERS = (1, 2)
 REPEATS = 3
+RATIO_BAND = (0.90, 1.10)  # per-pair ratios outside it get REPEATS more pairs
 CONTROL_COPIES = 2
 
 
@@ -67,17 +73,22 @@ def commit(tree: Path) -> str | None:
     return out.stdout.strip() or None
 
 
-def run_plan(names: list[str], trees: list[Path]) -> list[tuple[int, str, int, Path]]:
-    """(repeat, preset, workers, tree) in run order: each pair on every tree
-    back to back, with the first tree alternating from one pair to the next
-    and from one repeat to the next."""
-    pairs = [(name, w) for name in names for w in WORKERS]
+def interleave(pairs: list[tuple[str, int]], trees: list[Path],
+               repeats: range) -> list[tuple[int, str, int, Path]]:
+    """(repeat, preset, workers, tree) in run order: each (preset, workers)
+    pair on every tree back to back, with the first tree alternating from
+    one pair to the next and from one repeat to the next."""
     return [
         (repeat, name, workers, trees[(repeat + i + k) % len(trees)])
-        for repeat in range(REPEATS)
+        for repeat in repeats
         for i, (name, workers) in enumerate(pairs)
         for k in range(len(trees))
     ]
+
+
+def run_plan(names: list[str], trees: list[Path]) -> list[tuple[int, str, int, Path]]:
+    """The first pass: every preset with every worker count, ``REPEATS`` times."""
+    return interleave([(name, w) for name in names for w in WORKERS], trees, range(REPEATS))
 
 
 def schedule(names: list[str], trees: list[Path]) -> list[tuple[int, str, int, Path, int]]:
@@ -121,10 +132,10 @@ def timed_together(commands: list[list[str]], logs: list[Path]) -> list[dict]:
     return samples
 
 
-def run_presets(work: Path, trees: list[Path]) -> dict[Path, dict]:
-    samples: dict = {}
-    control: dict = {}  # preset -> the control's processes, all on this tree
-    for repeat, name, workers, tree, copies in schedule(preset_names(), trees):
+def run_steps(steps: list, work: Path, trees: list[Path], samples: dict, control: dict) -> None:
+    """Run ``schedule``-style steps, adding each run to ``samples`` (tree ->
+    (preset, workers) -> runs) or, for the control, to ``control``."""
+    for repeat, name, workers, tree, copies in steps:
         commands, logs = [], []
         for copy in range(copies):
             rundir = work / f"{name}_{workers}_{repeat}_{trees.index(tree)}_{copy}_of_{copies}"
@@ -146,8 +157,25 @@ def run_presets(work: Path, trees: list[Path]) -> dict[Path, dict]:
         walls = ", ".join(f"{run['wall_s']:.2f}" for run in runs)
         print(f"{tree} {name} workers={workers} copies={copies} repeat={repeat}: {walls} s",
               file=sys.stderr)
+
+
+def run_presets(work: Path, trees: list[Path]) -> tuple[dict[Path, dict], dict]:
+    """Per tree, the ``summarize`` of its runs; and, with a parent tree, the
+    first-pass ratio of each entry that ``RATIO_BAND`` sent to a re-run."""
+    samples: dict = {}
+    control: dict = {}  # preset -> the control's processes, all on this tree
+    run_steps(schedule(preset_names(), trees), work, trees, samples, control)
+    first_pass: dict = {}
+    if len(trees) > 1:
+        ratios = wall_ratios(*(summarize(samples[tree]) for tree in trees))
+        outside = [(name, w) for name, by_workers in ratios.items() for w in WORKERS
+                   if not RATIO_BAND[0] <= by_workers[f"workers_{w}"] <= RATIO_BAND[1]]
+        steps = interleave(outside, trees, range(REPEATS, 2 * REPEATS))
+        run_steps([(*step, 1) for step in steps], work, trees, samples, control)
+        for name, w in outside:
+            first_pass.setdefault(name, {})[f"workers_{w}"] = ratios[name][f"workers_{w}"]
     return {tree: summarize(runs, control if tree == ROOT else None)
-            for tree, runs in samples.items()}
+            for tree, runs in samples.items()}, first_pass
 
 
 def _medians(runs: list[dict]) -> dict:
@@ -209,7 +237,7 @@ def main(argv=None) -> int:
     trees = [ROOT] + ([args.parent.resolve()] if args.parent else [])
     record = {"machine": environment(), "repeats": REPEATS, "seed": 0, "workers": WORKERS}
     with tempfile.TemporaryDirectory() as tmp:
-        results = run_presets(Path(tmp), trees)
+        results, first_pass = run_presets(Path(tmp), trees)
         record.update(results[ROOT])
         print(f"slower with 2 workers than 1: {', '.join(record['slower_with_workers']) or 'none'}")
         record["tier1"] = run_tier1(Path(tmp))
@@ -217,6 +245,7 @@ def main(argv=None) -> int:
         base = results[trees[1]]
         record["baseline"] = {"tree": str(trees[1]), "git_commit": commit(trees[1]), **base}
         record["wall_ratio_to_baseline"] = wall_ratios(results[ROOT], base)
+        record["wall_ratio_first_pass"] = first_pass
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
 

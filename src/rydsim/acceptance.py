@@ -3,9 +3,10 @@
 Each check exercises one quantitative requirement end to end at a pinned
 tolerance and reports a single pass/fail line. The preset checks (3-7 and
 10) run a preset's config at seed 7 without detection errors and pass iff
-the named scalars of that preset's analyzer pass, so each rule lives in
-one place, the analyzer. The same checks back the pytest acceptance
-module and the ``rydsim check`` CLI subcommand.
+that preset's analyzer reports at least one scalar with a pass/fail rule
+and every such scalar passes, so each rule lives in one place, the
+analyzer. The same checks back the pytest acceptance module and the
+``rydsim check`` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -27,7 +29,7 @@ from .dynamics import (
     evolve,
     tensor,
 )
-from .experiments import DerivedScalar, config_from_dict, preset_info
+from .experiments import config_from_dict, preset_info
 from .montecarlo import apply_detection, run_ensemble
 from .units import TWO_PI
 
@@ -51,14 +53,17 @@ def _run(config: dict):
     return cfg, res
 
 
-def _analyzed(config: dict) -> dict[str, DerivedScalar]:
-    cfg, res = _run(config)
-    return {s.name: s for s in preset_info(cfg.preset).analyze(cfg, res)}
-
-
-def _report(label: str, scalar: DerivedScalar, fmt: str, unit: str = "") -> str:
-    note = f"; {scalar.note}" if scalar.note else ""
-    return f"{label} = {scalar.value:{fmt}}{unit} [{scalar.target}{note}]"
+def _rules_pass(*configs: dict) -> tuple[bool, str]:
+    """Each config's run through its preset's own analyzer: passes iff every
+    config yields a scalar with a pass/fail rule and all of those pass."""
+    ok, parts = True, []
+    for config in configs:
+        cfg, res = _run(config)
+        ruled = [s for s in preset_info(cfg.preset).analyze(cfg, res) if s.passed is not None]
+        ok = ok and bool(ruled) and all(s.passed is True for s in ruled)
+        parts += [f"{s.name} = {s.value:.6g} [{s.target}{f'; {s.note}' if s.note else ''}]"
+                  for s in ruled] or [f"{cfg.preset}: no scalar with a pass/fail rule"]
+    return ok, "; ".join(parts)
 
 
 def check_two_photon_rabi() -> tuple[bool, str]:
@@ -72,44 +77,6 @@ def check_doppler_width() -> tuple[bool, str]:
     target = TWO_PI * 43.5  # 2*pi * 43.5 kHz in krad/s
     rel = abs(sigma - target) / target
     return rel < 0.02, f"sigma = {sigma:.2f} krad/s vs 2pi*43.5 kHz ({rel * 100:.2f}% off)"
-
-
-def check_t1_preset() -> tuple[bool, str]:
-    t1 = _analyzed({"preset": "t1"})["t1_lifetime_us"]
-    return t1.passed is True, _report("T1", t1, ".2f", " us")
-
-
-def check_ramsey_preset() -> tuple[bool, str]:
-    t2 = _analyzed({"preset": "ramsey"})["t2_star_us"]
-    return t2.passed is True, _report("T2*", t2, ".2f", " us")
-
-
-def check_spin_echo_preset() -> tuple[bool, str]:
-    model = _analyzed({"preset": "spin_echo"})["t2_echo_us"]
-    tuned = _analyzed(
-        {"preset": "spin_echo", "noise": {"gamma_laser": 1.0 / (2 * 47.0)}}
-    )["t2_echo_us"]
-    ok = model.passed is True and tuned.passed is True
-    return ok, (
-        f"{_report('model T2', model, '.1f', ' us')}; "
-        f"{_report('tuned T2', tuned, '.1f', ' us')}"
-    )
-
-
-def check_rabi_preset() -> tuple[bool, str]:
-    tau = _analyzed({"preset": "rabi"})["coherence_time_us"]
-    return tau.passed is True, _report("Rabi coherence time", tau, ".2f", " us")
-
-
-def check_blockade_oscillation() -> tuple[bool, str]:
-    scalars = _analyzed({"preset": "blockade_rabi", "n_shots": 1,
-                         "noise": {"doppler": False, "positions": False}})
-    freq, leak = scalars["collective_frequency_mhz"], scalars["max_p_rr"]
-    ok = freq.passed is True and leak.passed is True
-    return ok, (
-        f"{_report('collective frequency', freq, '.4f', ' MHz')}; "
-        f"{_report('max P_rr', leak, '.2e')}"
-    )
 
 
 def check_fidelity_pipeline() -> tuple[bool, str]:
@@ -159,16 +126,17 @@ def check_w_echo() -> tuple[bool, str]:
     ok_immune = worst <= 1e-5
 
     # full noise model: decay-limited lifetime
-    echo = _analyzed({"preset": "w_echo"})["w_echo_lifetime_us"]
+    ok_echo, echo = _rules_pass({"preset": "w_echo"})
 
     # without the swap pulse the lifetime collapses to the Doppler scale
-    tau_plain = _analyzed({"preset": "w_lifetime"})["w_lifetime_us"].value
+    cfg, res = _run({"preset": "w_lifetime"})
+    tau_plain = next(s.value for s in preset_info("w_lifetime").analyze(cfg, res)
+                     if s.name == "w_lifetime_us")
     ok_plain = tau_plain < 8.0
 
-    ok = ok_immune and echo.passed is True and ok_plain
+    ok = ok_immune and ok_echo and ok_plain
     return ok, (
-        f"per-shot refocusing error = {worst:.2e} (<= 1e-5); "
-        f"{_report('echo lifetime', echo, '.1f', ' us')}; "
+        f"per-shot refocusing error = {worst:.2e} (<= 1e-5); {echo}; "
         f"without swap pulse = {tau_plain:.1f} us (< 8)"
     )
 
@@ -224,11 +192,15 @@ def check_integrator_oracle() -> tuple[bool, str]:
 ALL_CHECKS: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
     (1, "two-photon Rabi frequency", check_two_photon_rabi),
     (2, "Doppler width", check_doppler_width),
-    (3, "excited-state lifetime preset", check_t1_preset),
-    (4, "Ramsey dephasing preset", check_ramsey_preset),
-    (5, "spin-echo preset", check_spin_echo_preset),
-    (6, "Rabi coherence preset", check_rabi_preset),
-    (7, "blockaded collective oscillation", check_blockade_oscillation),
+    (3, "excited-state lifetime preset", partial(_rules_pass, {"preset": "t1"})),
+    (4, "Ramsey dephasing preset", partial(_rules_pass, {"preset": "ramsey"})),
+    (5, "spin-echo preset", partial(
+        _rules_pass, {"preset": "spin_echo"},
+        {"preset": "spin_echo", "noise": {"gamma_laser": 1.0 / (2 * 47.0)}})),
+    (6, "Rabi coherence preset", partial(_rules_pass, {"preset": "rabi"})),
+    (7, "blockaded collective oscillation", partial(
+        _rules_pass, {"preset": "blockade_rabi", "n_shots": 1,
+                      "noise": {"doppler": False, "positions": False}})),
     (8, "Bell fidelity pipeline", check_fidelity_pipeline),
     (9, "parity-scan oracle equivalence", check_parity_oracle),
     (10, "entangled-state echo", check_w_echo),
@@ -237,14 +209,13 @@ ALL_CHECKS: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run_all(echo: bool = True) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     results = []
     for num, title, fn in ALL_CHECKS:
         start = time.perf_counter()
         passed, detail = fn()
         result = CheckResult(num, title, passed, detail, time.perf_counter() - start)
         results.append(result)
-        if echo:
-            status = "PASS" if passed else "FAIL"
-            print(f"[{status}] {num:2d} {title}: {detail} ({result.seconds:.1f}s)")
+        status = "PASS" if passed else "FAIL"
+        print(f"[{status}] {num:2d} {title}: {detail} ({result.seconds:.1f}s)")
     return results

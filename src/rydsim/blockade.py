@@ -19,6 +19,7 @@ import numpy as np
 
 from .atoms import AtomParams, DetectionModel, effective_wavevector
 from .dynamics import DensityMatrix
+from .fitting import fit_cosine
 from .units import TWO_PI
 
 TWO_ATOM_BASIS = ("gg", "gr", "rg", "rr")
@@ -189,8 +190,6 @@ def parity_amplitude(
 
     Returns (alpha, theta, offset).
     """
-    from .fitting import fit_cosine  # local import to keep module layering flat
-
     times = np.asarray(list(times_us), dtype=float)
     if times.size < 4:
         raise ValueError("parity scan needs at least 4 time points")
@@ -248,8 +247,6 @@ def detection_corrected_fidelity(
     rho_w = np.outer(w_state(), w_state().conj())
     times = np.linspace(0.0, 2.0 / delta_mhz, 41)
     p_gg_meas = _parity_scan(rho_w, delta_mhz, times) @ c[0]
-
-    from .fitting import fit_cosine
 
     fit = fit_cosine(times, p_gg_meas, freq_guess_mhz=delta_mhz)
     offdiag_max = 2.0 * abs(fit.params["amplitude"])

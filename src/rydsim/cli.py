@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import __version__
-from .experiments import ConfigError, list_presets, load_config, run_experiment, worker_count
+from .experiments import list_presets, load_config, run_experiment, worker_count
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -45,12 +45,15 @@ def _cmd_run(args) -> int:
         cfg = load_config(args.config)
         if "n_workers" not in cfg.raw:
             cfg.n_workers = _default_workers()
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         manifest = run_experiment(cfg)
-    except (ArithmeticError, FloatingPointError) as exc:
+    except OSError as exc:  # e.g. an output_dir that is a file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     print(f"wrote {manifest.data_file} and manifest ({manifest.duration_s}s)")
@@ -80,8 +83,8 @@ def _cmd_check(args) -> int:
     from .acceptance import run_all
 
     try:
-        results = run_all(echo=True)
-    except (ArithmeticError, FloatingPointError) as exc:
+        results = run_all()
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     failed = [r for r in results if not r.passed]

@@ -259,8 +259,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"bad sequence for preset {info.name!r}: {exc}") from None
     system = cfg.system()  # surface inconsistent model/noise combinations now
     if info.name == "parity_scan":  # its analysis also runs the Bell-prep pulse
-        rabi = cfg.params["rabi_mhz"]
-        sequences.append(pulses._preset_blockade_rabi(collective_pi_time(rabi), rabi))
+        sequences.append(_bell_prep(cfg))
     try:  # a tabulated f_g must cover every trap-off time
         for seq in sequences if cfg.detection else ():
             compiled = compile_sequence(seq, system, ideal_pulses=cfg.ideal_pulses)
@@ -328,21 +327,17 @@ def _analyze_rabi(cfg: ExperimentConfig, res: EnsembleResult) -> list[DerivedSca
     ]
     tau = fit.params["tau_us"]
     if fit.no_decay or not math.isfinite(tau):
-        out.append(
-            _scalar("coherence_time_us", math.inf, "rabi-coherence-time",
-                    "20-35 us under the full noise model", None,
-                    note="no decay detected", fit=fit)
+        tau = math.inf
+    full_noise = cfg.doppler and cfg.scattering and cfg.blackbody
+    out.append(
+        _scalar(
+            "coherence_time_us", tau, "rabi-coherence-time",
+            "20-35 us under the full noise model",
+            (20.0 <= tau <= 35.0) if full_noise else None,
+            note="no decay detected" if math.isinf(tau) else "",
+            fit=fit,
         )
-    else:
-        full_noise = cfg.doppler and cfg.scattering and cfg.blackbody
-        out.append(
-            _scalar(
-                "coherence_time_us", tau, "rabi-coherence-time",
-                "20-35 us under the full noise model",
-                (20.0 <= tau <= 35.0) if full_noise else None,
-                fit=fit,
-            )
-        )
+    )
     return out
 
 
@@ -429,10 +424,14 @@ def _analyze_blockade(cfg: ExperimentConfig, res: EnsembleResult) -> list[Derive
     ]
 
 
-def _bell_prep_probabilities(cfg: ExperimentConfig) -> EnsembleResult:
-    # the collective pi pulse that prepares the Bell state the parity scan reads
+def _bell_prep(cfg: ExperimentConfig) -> PulseSequence:
+    """The collective pi pulse that prepares the Bell state the parity scan reads."""
     rabi = cfg.params["rabi_mhz"]
-    seq = pulses._preset_blockade_rabi(collective_pi_time(rabi), rabi)
+    return pulses._preset_blockade_rabi(collective_pi_time(rabi), rabi)
+
+
+def _bell_prep_probabilities(cfg: ExperimentConfig) -> EnsembleResult:
+    seq = _bell_prep(cfg)
     spec = dataclasses.replace(cfg.ensemble_spec(), build=lambda _value: seq)
     # a master seed of its own (scan index -1, which no scan point has), so
     # these shots do not repeat the noise draws of parity point 0
@@ -715,6 +714,8 @@ def _jsonify(obj):
 
 def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> RunManifest:
     """Execute a validated config: simulate, fit, and persist results."""
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)  # a bad path fails before the simulation
     t_start = time.perf_counter()
     spec = cfg.ensemble_spec()
     result = run_ensemble(
@@ -736,8 +737,6 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> RunManifest:
         ]
     elapsed = time.perf_counter() - t_start
 
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     data_file = outdir / f"{cfg.preset}.csv"
     write_csv(data_file, cfg, result)
 

@@ -168,13 +168,13 @@ class EnsembleResult:
         return self.raw_probabilities[:, self.outcomes.index(outcome)]
 
 
-def wilson_interval(p_hat: float | np.ndarray, n: int, z: float = 1.0):
-    """Elementwise Wilson score interval; z = 1 gives the 68% band for error bars."""
+def wilson_interval(p_hat: float | np.ndarray, n: int):
+    """Elementwise 68% (z = 1) Wilson score interval, the band for error bars."""
     if n <= 0:
         raise ValueError("need at least one shot")
-    denom = 1.0 + z * z / n
-    center = (p_hat + z * z / (2 * n)) / denom
-    half = z * np.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n)) / denom
+    denom = 1.0 + 1.0 / n
+    center = (p_hat + 1.0 / (2 * n)) / denom
+    half = np.sqrt(p_hat * (1 - p_hat) / n + 1.0 / (4 * n * n)) / denom
     return np.maximum(center - half, 0.0), np.minimum(center + half, 1.0)
 
 

@@ -5,11 +5,14 @@ and prints a one-line pass/fail summary (visible with ``pytest -s`` or on
 failure). The same checks back ``rydsim check``.
 """
 
+import dataclasses
+
 import pytest
 
 from rydsim import acceptance
 from rydsim.acceptance import ALL_CHECKS
 from rydsim.cli import main
+from rydsim.experiments import PRESETS, DerivedScalar, config_from_dict
 
 
 @pytest.mark.parametrize(
@@ -40,3 +43,29 @@ def test_check_exit_codes(monkeypatch, capsys, checks, code):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert ("numerical failure: state diverged" in err) == (checks[-1] is diverged)
+
+
+def stub_t1_analyzer(monkeypatch, scalars):
+    """Criterion 3's check with t1's analyzer reporting ``scalars``; nothing simulates."""
+    monkeypatch.setattr(acceptance, "_run", lambda config: (config_from_dict(config), None))
+    monkeypatch.setitem(PRESETS, "t1", dataclasses.replace(
+        PRESETS["t1"], analyze=lambda cfg, res: scalars))
+    return {num: check for num, _, check in ALL_CHECKS}[3]
+
+
+def test_every_rule_of_the_analyzer_gates_its_criterion(monkeypatch):
+    check = stub_t1_analyzer(monkeypatch, [
+        DerivedScalar("t1_lifetime_us", 51.7, "t1-lifetime", "51.7 us within 10%", True),
+        DerivedScalar("t1_extra", 1.0, "t1-extra", "a rule the check does not name", False),
+    ])
+    passed, detail = check()
+    assert not passed
+    assert "t1_extra" in detail
+
+
+def test_a_criterion_with_only_informational_scalars_fails(monkeypatch):
+    check = stub_t1_analyzer(monkeypatch, [
+        DerivedScalar("t1_lifetime_us", 51.7, "t1-lifetime", "informational", None),
+    ])
+    passed, _ = check()
+    assert not passed

@@ -2,6 +2,7 @@
 without starting a process."""
 
 import importlib.util
+import json
 import subprocess
 from collections import Counter
 from pathlib import Path
@@ -95,3 +96,37 @@ def test_control_processes_start_together_and_each_has_its_own_wait4(monkeypatch
     assert [run["cpu_s"] for run in runs] == [101.5, 102.5]
     assert [run["exit"] for run in runs] == [0, 0]
     assert runs[0]["wall_s"] >= runs[1]["wall_s"]
+
+
+def test_entries_outside_the_ratio_band_rerun_as_more_interleaved_pairs(monkeypatch, tmp_path):
+    presets = load_presets(monkeypatch)
+    trees = [presets.ROOT, Path("parent")]
+    t1_change_walls = iter([1.5, 1.0, 1.5] + [1.0] * presets.REPEATS)
+    steps = []  # (preset, workers, tree, copies) of each timed_together call
+
+    def fake_timed_together(commands, logs):
+        tree = Path(commands[0][1].removeprefix("PYTHONPATH=")).parent
+        config = json.loads(Path(commands[0][-1]).read_text())
+        name, workers = config["preset"], config["n_workers"]
+        steps.append((name, workers, tree, len(commands)))
+        slow = (name, workers, tree, len(commands)) == ("t1", 1, presets.ROOT, 1)
+        wall = next(t1_change_walls) if slow else 1.0
+        return [{"wall_s": wall, "cpu_s": wall, "exit": 0} for _ in commands]
+
+    monkeypatch.setattr(presets, "preset_names", lambda: ["rabi", "t1"])
+    monkeypatch.setattr(presets, "timed_together", fake_timed_together)
+    results, first_pass = presets.run_presets(tmp_path, trees)
+
+    first = [(name, workers, tree, copies)
+             for _, name, workers, tree, copies in presets.schedule(["rabi", "t1"], trees)]
+    assert steps[:len(first)] == first
+    # t1 with 1 worker read 1.5: REPEATS more pairs, first tree alternating, no control
+    reruns = steps[len(first):]
+    plan = presets.interleave([("t1", 1)], trees, range(presets.REPEATS, 2 * presets.REPEATS))
+    assert reruns == [(name, workers, tree, 1) for _, name, workers, tree in plan]
+    assert [tree for _, _, tree, _ in reruns[::2]] == [trees[1], trees[0], trees[1]]
+    assert first_pass == {"t1": {"workers_1": 1.5}}
+    # the reported ratio is the median over all six of its pairs
+    ratios = presets.wall_ratios(results[trees[0]], results[trees[1]])
+    assert ratios == {name: {f"workers_{w}": 1.0 for w in presets.WORKERS} for name in ("rabi", "t1")}
+    assert len(results[trees[0]]["presets"]["t1"]["workers_1"]["wall_s_runs"]) == 2 * presets.REPEATS

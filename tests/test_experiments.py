@@ -420,6 +420,20 @@ class TestCli:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_output_dir_that_is_a_file_exits_1_before_simulating(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            "preset: rabi\nscan: {points: 2}\nn_shots: 1\nn_workers: 1\n"
+            f"output_dir: {blocker}\n"
+        )
+        assert main(["run", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_workers_env_validated(self, tmp_path, monkeypatch):
         config = tmp_path / "cfg.yaml"
         config.write_text("preset: rabi\nscan: {points: 2}\nn_shots: 1\n")
@@ -454,6 +468,19 @@ class TestFitHealth:
             derived = {d.name: d for d in preset_info(preset).analyze(cfg, unfittable_result(cfg, shape))}
         assert derived[scalar].passed is False
         assert derived[scalar].note == "fit did not converge"
+
+    @pytest.mark.parametrize("noise, passed", [({}, False), ({"scattering": False}, None)],
+                             ids=["full_noise", "no_scattering"])
+    def test_undamped_rabi_fails_only_under_full_noise(self, noise, passed):
+        cfg = config_from_dict({"preset": "rabi", "noise": noise})
+        t = cfg.scan_values()
+        p_r = 0.5 - 0.5 * np.cos(2 * np.pi * cfg.params["rabi_mhz"] * t)
+        probs = np.column_stack([1.0 - p_r, p_r])
+        result = EnsembleResult(t, ("g", "r"), probs, probs, probs, np.zeros_like(probs),
+                                cfg.n_shots, cfg.mode, cfg.master_seed)
+        derived = {d.name: d for d in preset_info("rabi").analyze(cfg, result)}
+        assert derived["coherence_time_us"].passed is passed
+        assert derived["coherence_time_us"].note == "no decay detected"
 
     def test_nan_echo_time_fails(self, monkeypatch):
         nan_fit = FitResult({"tau_us": math.nan}, {}, 0.0, True, 1)
