@@ -55,14 +55,17 @@ def _run(config: dict):
 
 def _rules_pass(*configs: dict) -> tuple[bool, str]:
     """Each config's run through its preset's own analyzer: passes iff every
-    config yields a scalar with a pass/fail rule and all of those pass."""
+    config yields a scalar with a pass/fail rule and all of those pass. Each
+    config's entries are tagged with the top-level overrides it differs in."""
     ok, parts = True, []
+    apart = sorted({k for c in configs for k in c if any(d.get(k) != c[k] for d in configs)})
     for config in configs:
         cfg, res = _run(config)
+        tag = "".join(f"[{k}: {config.get(k, 'default')}] " for k in apart)
         ruled = [s for s in preset_info(cfg.preset).analyze(cfg, res) if s.passed is not None]
         ok = ok and bool(ruled) and all(s.passed is True for s in ruled)
-        parts += [f"{s.name} = {s.value:.6g} [{s.target}{f'; {s.note}' if s.note else ''}]"
-                  for s in ruled] or [f"{cfg.preset}: no scalar with a pass/fail rule"]
+        parts += [f"{tag}{s.name} = {s.value:.6g} [{s.target}{f'; {s.note}' if s.note else ''}]"
+                  for s in ruled] or [f"{tag}{cfg.preset}: no scalar with a pass/fail rule"]
     return ok, "; ".join(parts)
 
 

@@ -95,7 +95,7 @@ def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
 def hermiticity_defect(m) -> float:
     """Max elementwise deviation |m - m^dagger|, over a whole stack of matrices."""
     a = np.asarray(m, dtype=complex)
-    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
+    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0))
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -103,6 +103,14 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     one product-basis rule (np.kron's result, at a fraction of its call cost)."""
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+
+
+def _trusted(cls, *values):
+    """``cls(*values)`` for a frozen dataclass without its ``__post_init__``
+    checks, for values already checked or valid by construction (arrays read-only)."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def tensor(a, b) -> np.ndarray:
@@ -133,14 +141,6 @@ class DensityMatrix:
         if len(set(self.basis_labels)) != self.dim:
             raise ValueError("basis labels must be unique")
         _check_states(m[None], "in a density matrix", positive=False, error=ValueError)
-
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray, basis_labels: tuple[str, ...]) -> "DensityMatrix":
-        # for states the integrator has already checked; matrix is read-only
-        dm = object.__new__(cls)
-        object.__setattr__(dm, "matrix", matrix)
-        object.__setattr__(dm, "basis_labels", basis_labels)
-        return dm
 
     @property
     def dim(self) -> int:
@@ -219,8 +219,7 @@ class Segment:
         object.__setattr__(self, "hamiltonian", h)
         if not 0 <= self.duration < math.inf:
             raise ValueError(f"duration must be nonnegative and finite, got {self.duration}")
-        if hermiticity_defect(h) > HERMITICITY_TOL:
-            raise ValueError("segment hamiltonian is not Hermitian")
+        _check_hamiltonians(h)
 
     @property
     def dim(self) -> int:
@@ -276,6 +275,14 @@ def _check_states(m, where: str, positive: bool = True, error=FloatingPointError
         raise error(f"trace diverged {where}")
     if positive and np.linalg.eigvalsh(m).min() < -1e-6:
         raise error(f"positivity lost {where}")
+
+
+def _check_hamiltonians(hams: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every Hamiltonian of the stack is finite and Hermitian."""
+    if not np.isfinite(hams).all():
+        raise ValueError("hamiltonian has non-finite entries")
+    if hermiticity_defect(hams) > HERMITICITY_TOL:
+        raise ValueError("segment hamiltonian is not Hermitian")
 
 
 def dissipator_superop(operators: np.ndarray) -> np.ndarray:
@@ -437,6 +444,7 @@ def _step_maps(vecs: np.ndarray, hams: np.ndarray, durations: np.ndarray,
         n_steps = np.ceil(durations / np.minimum(dt_max, STEP_NORM_PRODUCT / rate))
     n_steps = np.maximum(n_steps, durations > 0).astype(int)  # >= 1 step unless empty
     maps = generator(hams)
+    maps[n_steps == 0] = 0  # never applied; zeroed so that squaring it cannot overflow
     for i, (duration, n) in enumerate(zip(durations.tolist(), n_steps.tolist())):
         if n:  # per shot, with a scalar step: perfbench's tracer counts steps per call
             maps[i] = rk4_map(maps[i], duration / n)
@@ -468,9 +476,9 @@ def evolve(rho0, segments, channels=(), dt_max: float = DEFAULT_DT_MAX,
     through its own one of n ``segments`` and the read-only stack of end
     states is returned. The trace is never renormalized.
 
-    Raises ``ValueError`` on dimension mismatches and ``FloatingPointError``
-    when a returned state is not finite, not Hermitian, has lost its trace
-    or its positivity.
+    Raises ``ValueError`` on dimension mismatches or a non-finite or
+    non-Hermitian Hamiltonian, and ``FloatingPointError`` when a returned
+    state is not finite, not Hermitian, has lost its trace or its positivity.
     """
     if not dt_max > 0:
         raise ValueError(f"dt_max must be positive, got {dt_max}")
@@ -481,11 +489,12 @@ def evolve(rho0, segments, channels=(), dt_max: float = DEFAULT_DT_MAX,
     for item in (*channels, *segments):
         if item.dim != dim:
             raise ValueError(f"{type(item).__name__} dim {item.dim} != state dim {dim}")
+    hams = np.array([seg.hamiltonian for seg in segments]).reshape(len(segments), dim, dim)
+    _check_hamiltonians(hams)  # compiled segments skip Segment's check: one per call here
     if not isinstance(rho0, DensityMatrix):
         if sample_dt is not None:
             raise ValueError("sample_dt needs a single DensityMatrix, not a stack of states")
         vecs = np.ascontiguousarray(rho0, dtype=complex).reshape(len(segments), -1)
-        hams = np.array([seg.hamiltonian for seg in segments])
         durations = np.array([seg.duration for seg in segments])
         # shots with equal H patterns and state supports share one block
         keys = np.c_[hams.reshape(len(hams), -1) != 0, vecs != 0]
@@ -518,6 +527,6 @@ def evolve(rho0, segments, channels=(), dt_max: float = DEFAULT_DT_MAX,
         states = _states(x, basis, f"in t = {t:.6g} to {t + seg.duration:.6g} us")
         for end, state in zip(ends.tolist(), states):
             time = t + (seg.duration if end == n_steps else end * h)
-            trajectory.append((time, DensityMatrix._trusted(state, rho0.basis_labels)))
+            trajectory.append((time, _trusted(DensityMatrix, state, rho0.basis_labels)))
         state, t = states[-1], t + seg.duration
     return trajectory

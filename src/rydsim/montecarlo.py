@@ -1,25 +1,28 @@
 """Monte Carlo ensembles over Doppler and position noise.
 
 Each shot draws a static per-atom Doppler detuning and position offset
-and compiles the scan point's sequence against that draw; then the point's
-shots propagate as one stack (``run_compiled``), each getting the numbers
-it gets alone. Shots are seeded individually from (master_seed, scan_index,
-shot_index) with a stable hash, so results are bit-identical regardless of
+and compiles its scan point's sequence against that draw. Blocks of
+ceil(STACK_SHOTS / n_shots) consecutive points, fewer where a worker would
+get none, are the tasks; a block's shots propagate as one stack
+(``run_compiled``), each getting the numbers it gets alone. Shots are
+seeded individually from (master_seed, scan_index, shot_index) with a
+stable hash, so results are bit-identical regardless of block size,
 execution order or worker count.
 
-Everything after the propagation runs once per scan point on the stacked
-(n_shots, d) final populations: the range and sum checks (a failure raises
-``FloatingPointError``), detection, normalisation, the sampled-mode draws
-(each from its own shot's generator) and the shot average. Detection is
-``DetectionModel.confusion_matrix``, from basis states to measured
-recapture patterns, times each shot's populations; ``apply_detection``
-applies the same matrix to a labeled distribution.
+Everything after the propagation runs once per block on the stacked
+(n_points, n_shots, d) final populations: the range and sum checks (a
+failure raises ``FloatingPointError``), detection, normalisation, the
+sampled-mode draws (each from its own shot's generator) and the shot
+averages. Detection is each point's ``DetectionModel.confusion_matrix``
+(basis states to measured recapture patterns) times each shot's
+populations; ``apply_detection`` applies it to a labeled distribution.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -27,7 +30,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .atoms import SINGLE_ATOM_LEVELS, DetectionModel, PERFECT_DETECTION, doppler_sigma
-from .dynamics import DEFAULT_DT_MAX, POSITIVITY_TOL
+from .dynamics import DEFAULT_DT_MAX, POSITIVITY_TOL, _trusted
 from .pulses import (
     NoiseSample,
     PulseSequence,
@@ -50,6 +53,10 @@ __all__ = [
 
 DEFAULT_SIGMA_POSITION_UM = 0.2
 
+# Shots per propagated stack. The stack holds every shot's step maps: a 40-shot
+# two-atom stack raised a run's peak RSS by under 1%, a 400-shot one by a quarter.
+STACK_SHOTS = 40
+
 
 def shot_seed(master_seed: int, scan_index: int, shot_index: int) -> int:
     """Stable 64-bit seed for one shot, independent of scheduling."""
@@ -65,11 +72,12 @@ def sample_noise(
     rng: np.random.Generator,
 ) -> NoiseSample:
     """Independent Gaussian draws per atom; deterministic given the rng state."""
-    if sigma_doppler_krad_s < 0 or sigma_position_um < 0:
-        raise ValueError("noise widths must be nonnegative")
+    if not (0 <= sigma_doppler_krad_s < math.inf and 0 <= sigma_position_um < math.inf):
+        raise ValueError("noise widths must be nonnegative and finite")
     doppler = rng.normal(0.0, 1.0, size=n_atoms) * sigma_doppler_krad_s
     position = rng.normal(0.0, 1.0, size=n_atoms) * sigma_position_um
-    return NoiseSample(tuple(doppler), tuple(position))
+    # finite floats by construction, so the NoiseSample checks are skipped
+    return _trusted(NoiseSample, tuple(doppler.tolist()), tuple(position.tolist()))
 
 
 def measured_outcomes(n_atoms: int) -> tuple[str, ...]:
@@ -178,21 +186,24 @@ def wilson_interval(p_hat: float | np.ndarray, n: int):
     return np.maximum(center - half, 0.0), np.minimum(center + half, 1.0)
 
 
-def _run_scan_point(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    (spec, value, scan_index, n_shots, mode, master_seed) = args
-    system = spec.system
-    rho0 = system.initial_state()
-    seq, sigma_doppler = spec.build(value), spec.doppler_width()  # one width for every shot
+def _run_block(spec, values, first_index, n_shots, mode, master_seed):
+    """A run of consecutive scan points, propagated as one stack: (points, ...) results."""
+    system, sigma_doppler = spec.system, spec.doppler_width()  # one width for every shot
 
-    # the shot loop only draws and compiles; each shot keeps its generator
-    # for its sampled-mode draw, and all shots propagate as one stack
+    # the shot loop only draws and compiles; each shot keeps its generator for its sampled-mode draw
     rngs, compiled = [], []
-    for shot in range(n_shots):
-        rng = np.random.default_rng(shot_seed(master_seed, scan_index, shot))
-        noise = sample_noise(sigma_doppler, spec.sigma_position_um, system.n_atoms, rng)
-        compiled.append(compile_sequence(seq, system, noise, ideal_pulses=spec.ideal_pulses))
-        rngs.append(rng)
-    p = run_compiled(compiled, rho0, dt_max=spec.dt_max).diagonal(axis1=1, axis2=2).real
+    for scan_index, value in enumerate(values, first_index):
+        seq = spec.build(value)
+        for shot in range(n_shots):
+            rng = np.random.default_rng(shot_seed(master_seed, scan_index, shot))
+            noise = sample_noise(sigma_doppler, spec.sigma_position_um, system.n_atoms, rng)
+            compiled.append(compile_sequence(seq, system, noise, ideal_pulses=spec.ideal_pulses))
+            rngs.append(rng)
+    # points whose steps differ in kind or channels cannot share a stack
+    kinds = itertools.groupby(compiled,
+                              lambda c: [(s.unitary is None, s.channels) for s in c.steps])
+    p = np.concatenate([run_compiled(list(shots), system.initial_state(), dt_max=spec.dt_max)
+                        for _, shots in kinds]).diagonal(axis1=1, axis2=2).real
 
     bad = (p < -POSITIVITY_TOL) | (p > 1.0 + POSITIVITY_TOL)
     if bad.any():
@@ -203,20 +214,19 @@ def _run_scan_point(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p = np.clip(p, 0.0, 1.0)
     # a state within evolve's looser TRACE_TOL can still fail this check
     _check_distribution(p, FloatingPointError)
-    # every shot of a point has the same segment durations; C @ p per shot
-    # rounds like a single shot's product (p @ C.T does not)
-    levels, duration = system.level_tuples, compiled[0].total_duration
-    raw, shots = (
-        (d.confusion_matrix(levels, duration) @ p[:, :, None])[..., 0]
-        for d in (PERFECT_DETECTION, spec.detection or PERFECT_DETECTION)
-    )
-    shots /= shots.sum(axis=1, keepdims=True)
+    # a point's shots share its segment durations; C @ p per shot rounds
+    # like a single shot's product (p @ C.T does not)
+    levels, p = system.level_tuples, p.reshape(len(values), n_shots, -1, 1)
+    times = [c.total_duration for c in compiled[::n_shots]]
+    raw, shots = ((np.array([d.confusion_matrix(levels, t) for t in times])[:, None] @ p)[..., 0]
+                  for d in (PERFECT_DETECTION, spec.detection or PERFECT_DETECTION))
+    shots /= shots.sum(axis=2, keepdims=True)
     if mode == "sampled":
-        drawn = [rng.choice(len(vec), p=vec) for rng, vec in zip(rngs, shots)]
-        probs = np.bincount(drawn, minlength=shots.shape[1]) / n_shots
+        drawn = [rng.choice(len(v), p=v) for rng, v in zip(rngs, shots.reshape(len(rngs), -1))]
+        probs = (np.reshape(drawn, (*shots.shape[:2], 1)) == np.arange(shots.shape[2])).mean(1)
     else:
-        probs = shots.mean(axis=0)
-    return probs, raw.mean(axis=0), shots
+        probs = shots.mean(axis=1)
+    return probs, raw.mean(axis=1), shots
 
 
 def run_ensemble(
@@ -245,20 +255,20 @@ def run_ensemble(
         raise ValueError("scan_values is empty; a scan needs at least one value")
     outcomes = measured_outcomes(spec.system.n_atoms)
 
-    tasks = [
-        (spec, float(v), i, n_shots, mode, master_seed) for i, v in enumerate(values)
-    ]
+    size = max(1, min(-(-STACK_SHOTS // n_shots), len(values) // n_workers))
+    tasks = [(spec, values[i:i + size].tolist(), i, n_shots, mode, master_seed)
+             for i in range(0, len(values), size)]
     if n_workers > 1 and len(tasks) > 1:
         # imported here: loading the pool machinery costs every run time and
         # memory, and most runs use one worker
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_run_scan_point, tasks))
+            results = list(pool.map(_run_block, *zip(*tasks)))
     else:
-        results = [_run_scan_point(task) for task in tasks]
+        results = [_run_block(*task) for task in tasks]
 
-    probs, raw, per_shot = (np.stack(r) for r in zip(*results))
+    probs, raw, per_shot = (np.concatenate(r) for r in zip(*results))
     ci_low, ci_high = wilson_interval(probs, n_shots)
     return EnsembleResult(
         scan_values=values,

@@ -28,7 +28,7 @@ import numpy as np
 from .atoms import (SINGLE_ATOM_LEVELS, AtomParams, _product_index, effective_wavevector,
                     rydberg_lifetime)
 from .blockade import TwoAtomParams
-from .dynamics import DEFAULT_DT_MAX, DensityMatrix, LindbladChannel, Segment, _kron
+from .dynamics import DEFAULT_DT_MAX, DensityMatrix, LindbladChannel, Segment, _kron, _trusted
 from .units import TWO_PI, krad_s_to_angular, mhz_to_angular
 
 __all__ = [
@@ -55,8 +55,8 @@ class GlobalDrive:
     phase: float = 0.0  # rad, common drive phase
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError(f"negative duration {self.duration}")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be nonnegative and finite, got {self.duration}")
         if self.rabi_mhz <= 0:
             raise ValueError(f"drive needs a positive Rabi frequency, got {self.rabi_mhz}")
 
@@ -66,8 +66,8 @@ class Wait:
     duration: float
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError(f"negative duration {self.duration}")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be nonnegative and finite, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ class LocalPhaseGate:
     crosstalk_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError(f"negative duration {self.duration}")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be nonnegative and finite, got {self.duration}")
         if not 0 <= self.crosstalk_fraction < 1:
             raise ValueError(f"crosstalk fraction {self.crosstalk_fraction} outside [0, 1)")
 
@@ -365,7 +365,10 @@ def compile_sequence(
             u = (v * np.exp(-1j * w * el.duration)) @ v.conj().T
             steps.append(CompiledStep(channels=(), unitary=u))
         else:
-            segment = Segment(system.hamiltonian(el, noise), el.duration)
+            # Hermitian by construction; evolve checks each stack it gets
+            h = system.hamiltonian(el, noise)
+            h.setflags(write=False)
+            segment = _trusted(Segment, h, el.duration)
             steps.append(CompiledStep(system.channels(drive_on=drive), segment=segment))
     return CompiledSequence(tuple(steps))
 
@@ -382,7 +385,7 @@ def run_compiled(compiled, rho0: DensityMatrix, dt_max: float = DEFAULT_DT_MAX):
 
     if isinstance(compiled, CompiledSequence):
         end = run_compiled([compiled], rho0, dt_max)[0]
-        return DensityMatrix._trusted(end, rho0.basis_labels)
+        return _trusted(DensityMatrix, end, rho0.basis_labels)
     states = np.repeat(rho0.matrix[None], len(compiled), axis=0)
     for steps in zip(*(shot.steps for shot in compiled)):
         if steps[0].unitary is not None:

@@ -45,16 +45,16 @@ def test_check_exit_codes(monkeypatch, capsys, checks, code):
     assert ("numerical failure: state diverged" in err) == (checks[-1] is diverged)
 
 
-def stub_t1_analyzer(monkeypatch, scalars):
-    """Criterion 3's check with t1's analyzer reporting ``scalars``; nothing simulates."""
+def stub_analyzer(monkeypatch, scalars, preset="t1", criterion=3):
+    """A criterion's check with its preset's analyzer reporting ``scalars``; nothing simulates."""
     monkeypatch.setattr(acceptance, "_run", lambda config: (config_from_dict(config), None))
-    monkeypatch.setitem(PRESETS, "t1", dataclasses.replace(
-        PRESETS["t1"], analyze=lambda cfg, res: scalars))
-    return {num: check for num, _, check in ALL_CHECKS}[3]
+    monkeypatch.setitem(PRESETS, preset, dataclasses.replace(
+        PRESETS[preset], analyze=lambda cfg, res: scalars))
+    return {num: check for num, _, check in ALL_CHECKS}[criterion]
 
 
 def test_every_rule_of_the_analyzer_gates_its_criterion(monkeypatch):
-    check = stub_t1_analyzer(monkeypatch, [
+    check = stub_analyzer(monkeypatch, [
         DerivedScalar("t1_lifetime_us", 51.7, "t1-lifetime", "51.7 us within 10%", True),
         DerivedScalar("t1_extra", 1.0, "t1-extra", "a rule the check does not name", False),
     ])
@@ -64,8 +64,20 @@ def test_every_rule_of_the_analyzer_gates_its_criterion(monkeypatch):
 
 
 def test_a_criterion_with_only_informational_scalars_fails(monkeypatch):
-    check = stub_t1_analyzer(monkeypatch, [
+    check = stub_analyzer(monkeypatch, [
         DerivedScalar("t1_lifetime_us", 51.7, "t1-lifetime", "informational", None),
     ])
     passed, _ = check()
     assert not passed
+
+
+def test_each_config_of_a_criterion_is_tagged_with_what_sets_it_apart(monkeypatch):
+    # criterion 5 runs spin_echo twice, the second time with gamma_laser = 1/94
+    check = stub_analyzer(monkeypatch, [
+        DerivedScalar("t2_echo_us", 32.0, "t2-echo", "32 us within 20%", True),
+    ], preset="spin_echo", criterion=5)
+    passed, detail = check()
+    assert passed
+    default, tuned = detail.split("; ")
+    assert default.startswith("[noise: default] t2_echo_us = 32")
+    assert tuned.startswith("[noise: {'gamma_laser': 0.0106") and "t2_echo_us = 32" in tuned

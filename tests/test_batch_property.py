@@ -1,9 +1,11 @@
 """Property test: a batched run equals a per-shot replay.
 
-Each example runs one of the 9 presets on a two-point grid with 1-6 shots,
-a random master seed, mode, ``ideal_pulses``, ``gamma_laser`` in {0, 0.1}
-and 1 or 2 workers, so results must not depend on ``n_workers`` either.
-``run_ensemble`` propagates each scan point's shots as one stack;
+Each example runs one of the 9 presets on a grid of 2-12 points with 1-16
+shots, a random master seed, mode, ``ideal_pulses``, ``gamma_laser`` in
+{0, 0.1} and 1 or 2 workers, so results must not depend on ``n_workers``
+either. ``run_ensemble`` propagates blocks of ``ceil(STACK_SHOTS / n_shots)``
+consecutive scan points as one stack, so the grid holds runs of one block
+and of several, and 2-worker runs split the blocks between the workers;
 every shot's detected distribution in ``per_shot`` must be
 ``np.array_equal`` to the same shot replayed alone: its own noise draw,
 ``compile_sequence`` and single-sequence ``run_compiled``. Runs
@@ -36,22 +38,25 @@ def replayed_shot(spec, value, scan_index, shot, seed):
     return vec / vec.sum()
 
 
+# a block can hold an empty segment's unused generator; squaring it must not overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(
     preset=st.sampled_from(sorted(PRESETS)),
-    n_shots=st.integers(1, 6),
+    n_shots=st.integers(1, 16),
+    points=st.integers(2, 12),
     seed=st.integers(-2**63, 2**63 - 1),
     mode=st.sampled_from(["expectation", "sampled"]),
     ideal_pulses=st.booleans(),
     gamma_laser=st.sampled_from([0.0, 0.1]),
     n_workers=st.sampled_from([1, 2]),
 )
-def test_batched_run_equals_per_shot_replay(preset, n_shots, seed, mode, ideal_pulses,
+def test_batched_run_equals_per_shot_replay(preset, n_shots, points, seed, mode, ideal_pulses,
                                             gamma_laser, n_workers):
     cfg = config_from_dict({
         "preset": preset, "mode": mode, "n_shots": n_shots, "master_seed": seed,
         "ideal_pulses": ideal_pulses, "noise": {"gamma_laser": gamma_laser},
-        "scan": {"points": 2},
+        "scan": {"points": points},
     })
     spec, values = cfg.ensemble_spec(), cfg.scan_values()
     res = run_ensemble(spec, values, n_shots, mode=mode, master_seed=seed, n_workers=n_workers)

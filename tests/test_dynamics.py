@@ -306,14 +306,15 @@ class TestRealCoordinates:
         import pickle
 
         from rydsim.experiments import config_from_dict
-        from rydsim.montecarlo import _run_scan_point
+        from rydsim.montecarlo import _run_block
 
         cfg = config_from_dict({"preset": "blockade_rabi"})
-        spec, value = cfg.ensemble_spec(), float(cfg.scan_values()[1])
-        first = _run_scan_point((spec, value, 1, 2, "expectation", 0))
+        # a block task of scan points 1 and 2, 2 shots each
+        spec, values = cfg.ensemble_spec(), cfg.scan_values()[1:3].tolist()
+        first = _run_block(spec, values, 1, 2, "expectation", 0)
         misses = real_block.cache_info().misses
         spec = pickle.loads(pickle.dumps(spec))
-        second = _run_scan_point((spec, value, 1, 2, "expectation", 0))
+        second = _run_block(spec, values, 1, 2, "expectation", 0)
         assert real_block.cache_info().misses == misses
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
@@ -372,6 +373,19 @@ class TestNonFiniteArguments:
             Segment(np.full((2, 2), np.nan), 1.0)
         with pytest.raises(ValueError, match="duration must be nonnegative and finite, got inf"):
             Segment(np.zeros((2, 2)), math.inf)
+
+    def test_evolve_checks_unchecked_segments(self):
+        # compile_sequence builds its segments without Segment's checks, so
+        # evolve checks each call's Hamiltonians, on the stack path and the trajectory path
+        rho0 = DensityMatrix.pure("g", GR_BASIS)
+        good = Segment(drive_hamiltonian(2.0, 2), 0.01)
+        for h, match in [(np.full((2, 2), np.nan), "hamiltonian has non-finite entries"),
+                         (np.array([[0, 1], [0, 0]], dtype=complex), "not Hermitian")]:
+            bad = dynamics._trusted(Segment, h, 0.01)
+            with pytest.raises(ValueError, match=match):
+                evolve(np.repeat(rho0.matrix[None], 2, axis=0), [good, bad])
+            with pytest.raises(ValueError, match=match):
+                evolve(rho0, [good, bad])
 
     def test_density_matrix_rejects_nan(self):
         with pytest.raises(ValueError, match="density matrix has non-finite entries"):

@@ -16,6 +16,7 @@ from rydsim.blockade import TwoAtomParams
 from rydsim.experiments import config_from_dict
 from rydsim.fitting import fit_damped_cosine
 from rydsim.montecarlo import (
+    STACK_SHOTS,
     EnsembleSpec,
     apply_detection,
     measured_outcomes,
@@ -61,8 +62,10 @@ class TestSampleNoise:
         assert abs(draws.std() - sigma) / sigma < 0.01
 
     def test_negative_width_rejected(self):
-        with pytest.raises(ValueError):
-            sample_noise(-1.0, 0.0, 1, np.random.default_rng(0))
+        # the draws it returns skip NoiseSample's checks, so the widths are checked here
+        for widths in [(-1.0, 0.0), (math.inf, 0.0), (0.0, math.nan)]:
+            with pytest.raises(ValueError, match="noise widths must be nonnegative and finite"):
+                sample_noise(*widths, 1, np.random.default_rng(0))
 
 
 class TestShotSeed:
@@ -229,6 +232,19 @@ class TestRunEnsemble:
         b = run_ensemble(spec, [1.0, 3.0], n_shots=8, master_seed=11, mode="sampled")
         np.testing.assert_array_equal(a.probabilities, b.probabilities)
         np.testing.assert_array_equal(a.ci_low, b.ci_low)
+
+    def test_points_with_different_steps_share_a_block(self):
+        # a rabi point has one step and a t1 point three; one block holds both
+        # kinds, and every shot equals its run in a block of its own point
+        system = SystemModel(atom=AtomParams(), n_atoms=1)
+        spec = EnsembleSpec(
+            build=lambda t: preset("rabi", drive_time=0.1) if t < 0.5 else preset("t1", gap=t),
+            system=system,
+        )
+        values = [0.2, 0.6, 0.3, 0.9]
+        one_block = run_ensemble(spec, values, n_shots=3)
+        alone = run_ensemble(spec, values, n_shots=STACK_SHOTS)  # a block per point
+        np.testing.assert_array_equal(one_block.per_shot, alone.per_shot[:, :3])
 
     def test_seed_changes_results(self):
         system = SystemModel(atom=AtomParams(), n_atoms=1)

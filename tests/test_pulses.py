@@ -189,6 +189,13 @@ class TestPresets:
         with pytest.raises(ValueError, match="arm"):
             preset("phase_gate_echo", gate_time=1.5, arm_us=1.0)
 
+    def test_elements_reject_bad_durations(self):
+        # compiled segments skip Segment's checks, so a duration is checked where it enters
+        for make in (lambda t: GlobalDrive(t, 2.0), Wait, LocalPhaseGate):
+            for duration in (-1.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="duration must be nonnegative and finite"):
+                    make(duration)
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             PulseSequence((), n_atoms=1)
