@@ -21,7 +21,8 @@ parent's figures go under ``baseline``, and ``wall_ratio_to_baseline``
 holds, per preset and worker count, the median over the repeats of each
 back-to-back pair's ratio of this tree's wall time to the parent's: a
 pair shares the host's state, so its ratio drops most of the drift that a
-ratio of the two medians keeps. Three pairs still leave unchanged code
+ratio of the two medians keeps. ``cpu_ratio_to_baseline`` holds the same
+median of the pairs' ``cpu_s`` ratios. Three pairs still leave unchanged code
 outside ``RATIO_BAND`` now and then, so after the plan every (preset,
 workers) entry whose ratio lies outside it runs ``REPEATS`` more pairs,
 interleaved the same way. Its ratio, and its medians, are then over all
@@ -167,7 +168,7 @@ def run_presets(work: Path, trees: list[Path]) -> tuple[dict[Path, dict], dict]:
     run_steps(schedule(preset_names(), trees), work, trees, samples, control)
     first_pass: dict = {}
     if len(trees) > 1:
-        ratios = wall_ratios(*(summarize(samples[tree]) for tree in trees))
+        ratios = pair_ratios(*(summarize(samples[tree]) for tree in trees), "wall_s")
         outside = [(name, w) for name, by_workers in ratios.items() for w in WORKERS
                    if not RATIO_BAND[0] <= by_workers[f"workers_{w}"] <= RATIO_BAND[1]]
         steps = interleave(outside, trees, range(REPEATS, 2 * REPEATS))
@@ -183,6 +184,7 @@ def _medians(runs: list[dict]) -> dict:
         "wall_s": statistics.median(r["wall_s"] for r in runs),
         "cpu_s": statistics.median(r["cpu_s"] for r in runs),
         "wall_s_runs": [r["wall_s"] for r in runs],
+        "cpu_s_runs": [r["cpu_s"] for r in runs],
     }
 
 
@@ -207,14 +209,15 @@ def summarize(samples: dict, control: dict | None = None) -> dict:
     }
 
 
-def wall_ratios(change: dict, parent: dict) -> dict:
-    """Per preset and worker count, the median of the per-repeat wall-time
-    ratios change/parent of two ``summarize`` results of one run plan."""
+def pair_ratios(change: dict, parent: dict, metric: str) -> dict:
+    """Per preset and worker count, the median of the per-repeat ratios
+    change/parent of ``metric`` (``wall_s`` or ``cpu_s``) of two
+    ``summarize`` results of one run plan."""
     ratios: dict = {}
     for name, runs in change["presets"].items():
         for key in (f"workers_{w}" for w in WORKERS):
-            pairs = zip(runs[key]["wall_s_runs"], parent["presets"][name][key]["wall_s_runs"],
-                        strict=True)
+            pairs = zip(runs[key][f"{metric}_runs"],
+                        parent["presets"][name][key][f"{metric}_runs"], strict=True)
             ratios.setdefault(name, {})[key] = round(statistics.median(c / p for c, p in pairs), 3)
     return ratios
 
@@ -244,7 +247,8 @@ def main(argv=None) -> int:
     if args.parent:
         base = results[trees[1]]
         record["baseline"] = {"tree": str(trees[1]), "git_commit": commit(trees[1]), **base}
-        record["wall_ratio_to_baseline"] = wall_ratios(results[ROOT], base)
+        record["wall_ratio_to_baseline"] = pair_ratios(results[ROOT], base, "wall_s")
+        record["cpu_ratio_to_baseline"] = pair_ratios(results[ROOT], base, "cpu_s")
         record["wall_ratio_first_pass"] = first_pass
     args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0

@@ -12,7 +12,19 @@ Submodules:
 * ``fitting``: damped-cosine and decay fits with analytic Jacobians.
 * ``experiments``: the preset registry, config ingestion, CSV/manifest output.
 * ``acceptance``: the built-in verification suite (also ``rydsim check``).
+
+Importing rydsim before numpy sets ``OPENBLAS_NUM_THREADS=1`` unless
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set: rydsim's
+matrices are too small for BLAS threads to pay, and their start-up costs CPU.
 """
+
+import os as _os
+import sys as _sys
+
+# numpy reads it once, when it loads OpenBLAS; pool workers inherit it
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(v in _os.environ for v in _THREAD_VARS):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"
 

@@ -364,12 +364,13 @@ def _real_block(pattern: bytes, operators: bytes, support: bytes) -> tuple:
     (i, j) -> (j, i), is closed under the nonzero pattern of H (x) I,
     I (x) H^T and the dissipator D, which contains M's pattern, so M maps the
     result into itself. The coordinates are Re rho_ii, then Re rho_ij and Im rho_ij for
-    i < j (Havel, J. Math. Phys. 44, 534 (2003)). Returns the Hermitian basis
-    ``E`` (k x d x d) with rho = sum_b x_b E_b, the positions ``read`` of the
-    coordinates in ``vec.view(np.float64)``, ``generator``, which maps an
-    (m, d, d) stack of Hamiltonians with this pattern to their (m, k, k) real
-    generators: column b is -i[H, E_b] + D(E_b) read in the coordinates, and
-    ``||D||inf`` (0 without channels).
+    i < j (Havel, J. Math. Phys. 44, 534 (2003)), so rho = sum_b x_b E_b for a
+    Hermitian basis E (k x d x d). Returns ``gather``, the source of each slot
+    of ``vec.view(np.float64)`` (see ``_states``), the positions ``read`` of the
+    coordinates in it, ``generator``, which maps an (m, d, d) stack of
+    Hamiltonians with this pattern to their (m, k, k) real generators: column
+    b is -i[H, E_b] + D(E_b) read in the coordinates, and ``||D||inf`` (0
+    without channels).
     """
     n = len(support)
     dim = math.isqrt(n)
@@ -396,12 +397,16 @@ def _real_block(pattern: bytes, operators: bytes, support: bytes) -> tuple:
     basis[re, upper] = basis[re, lower] = 1
     basis[im, upper], basis[im, lower] = 1j, -1j
     read = np.r_[2 * diag, 2 * upper, 2 * upper + 1]
-    # einsum, not @: a BLAS product of this size starts OpenBLAS threads
+    # each slot of vec.view(np.float64) is x_b (gather b), -x_b (k + b) or 0 (2k)
+    gather = np.full(2 * n, 2 * k)
+    gather[read] = np.arange(k)
+    gather[2 * lower], gather[2 * lower + 1] = re, k + im
+    # einsum, not @: the product signs some of the zeros differently
     g_d = np.einsum("rs,bs->br", dissipator, basis).view(np.float64)[:, read].T.copy()
     basis = basis.reshape(k, dim, dim)
     # Each coordinate of -i[H, E_b] is a signed sum of at most two real or
     # imaginary parts of H, with weights +-1 or +-2: gathering those two
-    # rounds like the commutator and, unlike a product, starts no BLAS threads.
+    # rounds like the commutator does.
     parts = np.flatnonzero(np.repeat(h.reshape(-1), 2))
     jacobian = np.empty((len(parts), k, k), dtype=np.int8)  # exact: 0, +-1 or +-2
     for u, part in enumerate(parts):
@@ -416,7 +421,7 @@ def _real_block(pattern: bytes, operators: bytes, support: bytes) -> tuple:
     slot = np.arange(len(entry)) - np.searchsorted(entry, entry)
     source, weight = np.zeros((2, k * k), dtype=int), np.zeros((2, k * k))
     source[slot, entry], weight[slot, entry] = parts[row], jacobian[row, entry]
-    for a in (basis, read, g_d):
+    for a in (gather, read, g_d):
         a.setflags(write=False)
 
     def generator(hams: np.ndarray) -> np.ndarray:
@@ -425,17 +430,17 @@ def _real_block(pattern: bytes, operators: bytes, support: bytes) -> tuple:
         # in C order: in the gathered layout numpy's products skip BLAS and round differently
         return np.ascontiguousarray(gen.reshape(-1, k, k) + g_d)
 
-    return basis, read, generator, float(np.linalg.norm(dissipator, np.inf))
+    return gather, read, generator, float(np.linalg.norm(dissipator, np.inf))
 
 
 def _step_maps(vecs: np.ndarray, hams: np.ndarray, durations: np.ndarray,
                channels: tuple, dt_max: float):
     """For shots with equal H patterns and supports of vec(rho) ``vecs``:
-    their block basis, (m, k, k) step maps, step counts (0 for an empty
-    segment) and (m, k, 1) coordinates."""
+    their block's ``gather``, (m, k, k) step maps, step counts (0 for an
+    empty segment) and (m, k, 1) coordinates."""
     pattern, support = (hams[0] != 0).tobytes(), (vecs[0] != 0).tobytes()
     operators = b"".join(ch.operator.tobytes() for ch in channels)
-    basis, read, generator, d_norm = _real_block(pattern, operators, support)
+    gather, read, generator, d_norm = _real_block(pattern, operators, support)
     # Stiff segments (a strong pair interaction, a fast decay) get finer
     # steps than dt_max, so that h*||H||inf and h*||D||inf stay small and
     # RK4 stays stable; the step bound requested by the caller still holds.
@@ -448,13 +453,18 @@ def _step_maps(vecs: np.ndarray, hams: np.ndarray, durations: np.ndarray,
     for i, (duration, n) in enumerate(zip(durations.tolist(), n_steps.tolist())):
         if n:  # per shot, with a scalar step: perfbench's tracer counts steps per call
             maps[i] = rk4_map(maps[i], duration / n)
-    return basis, maps, n_steps, np.ascontiguousarray(vecs.view(np.float64)[:, read])[..., None]
+    return gather, maps, n_steps, np.ascontiguousarray(vecs.view(np.float64)[:, read])[..., None]
 
 
-def _states(x: np.ndarray, basis: np.ndarray, where: str) -> np.ndarray:
-    """The checked, read-only (m, d, d) states with coordinates x (m, k, 1)."""
-    k, dim = basis.shape[:2]
-    m = np.einsum("mb,bs->ms", x[..., 0], basis.reshape(k, -1)).reshape(-1, dim, dim)
+def _states(x: np.ndarray, gather: np.ndarray, where: str) -> np.ndarray:
+    """The checked, read-only (m, d, d) states with coordinates x (m, k, 1)
+    and a block's ``gather``."""
+    x = x[..., 0]
+    dim = math.isqrt(len(gather) // 2)
+    # rho = sum_b x_b E_b exactly: each slot is one signed coordinate or 0,
+    # and + 0.0 turns -0.0 into 0.0 as that sum does
+    m = np.take(np.concatenate((x, -x, np.zeros((len(x), 1))), axis=1), gather, axis=1) + 0.0
+    m = m.view(complex).reshape(-1, dim, dim)
     m.setflags(write=False)
     _check_states(m, where)
     return m
@@ -502,10 +512,10 @@ def evolve(rho0, segments, channels=(), dt_max: float = DEFAULT_DT_MAX,
         while todo.any():
             sel = (keys == keys[todo.argmax()]).all(axis=1)
             todo &= ~sel
-            basis, maps, n_steps, x = _step_maps(
+            gather, maps, n_steps, x = _step_maps(
                 vecs[sel], hams[sel], durations[sel], channels, dt_max)
             where = f"at t = {durations[sel].max():.6g} us"
-            out[sel] = _states(_power_apply(maps, n_steps, x), basis, where).reshape(len(x), -1)
+            out[sel] = _states(_power_apply(maps, n_steps, x), gather, where).reshape(len(x), -1)
         out = out.reshape(rho0.shape)
         out.setflags(write=False)
         return out
@@ -517,14 +527,14 @@ def evolve(rho0, segments, channels=(), dt_max: float = DEFAULT_DT_MAX,
             trajectory.append((t, trajectory[-1][1]))
             continue
         vecs, hams = state.reshape(1, -1), seg.hamiltonian[None]
-        basis, maps, n_steps, x = _step_maps(vecs, hams, np.r_[seg.duration], channels, dt_max)
+        gather, maps, n_steps, x = _step_maps(vecs, hams, np.r_[seg.duration], channels, dt_max)
         n_steps = int(n_steps[0])
         h = seg.duration / n_steps
         chunk = n_steps if sample_dt is None else max(1, round(sample_dt / h))
         ends = np.r_[chunk:n_steps:chunk, n_steps]
         # each sample is its own power of the start state, so sampling leaves the end as it is
         x = _power_apply(maps, ends, np.broadcast_to(x, (len(ends), *x.shape[1:])))
-        states = _states(x, basis, f"in t = {t:.6g} to {t + seg.duration:.6g} us")
+        states = _states(x, gather, f"in t = {t:.6g} to {t + seg.duration:.6g} us")
         for end, state in zip(ends.tolist(), states):
             time = t + (seg.duration if end == n_steps else end * h)
             trajectory.append((time, _trusted(DensityMatrix, state, rho0.basis_labels)))

@@ -51,7 +51,7 @@ def test_wall_ratio_is_the_median_of_the_back_to_back_pair_ratios(monkeypatch):
         return presets.summarize({("rabi", w): [{"wall_s": t, "cpu_s": t} for t in runs]
                                   for w in presets.WORKERS})
 
-    ratios = presets.wall_ratios(summary(change_runs), summary(parent_runs))
+    ratios = presets.pair_ratios(summary(change_runs), summary(parent_runs), "wall_s")
     # pair ratios 0.5, 3 and 1.111: their median, not the ratio of the medians (3 / 2)
     assert ratios == {"rabi": {f"workers_{w}": 1.111 for w in presets.WORKERS}}
 
@@ -127,6 +127,32 @@ def test_entries_outside_the_ratio_band_rerun_as_more_interleaved_pairs(monkeypa
     assert [tree for _, _, tree, _ in reruns[::2]] == [trees[1], trees[0], trees[1]]
     assert first_pass == {"t1": {"workers_1": 1.5}}
     # the reported ratio is the median over all six of its pairs
-    ratios = presets.wall_ratios(results[trees[0]], results[trees[1]])
+    ratios = presets.pair_ratios(results[trees[0]], results[trees[1]], "wall_s")
     assert ratios == {name: {f"workers_{w}": 1.0 for w in presets.WORKERS} for name in ("rabi", "t1")}
     assert len(results[trees[0]]["presets"]["t1"]["workers_1"]["wall_s_runs"]) == 2 * presets.REPEATS
+
+
+def test_parent_record_has_cpu_ratios_from_the_same_pairs_as_wall_ratios(monkeypatch, tmp_path):
+    presets = load_presets(monkeypatch)
+    parent = (tmp_path / "parent").resolve()
+    # (wall_s, cpu_s) per repeat
+    runs = {presets.ROOT: [(1.0, 2.0), (3.0, 6.0), (10.0, 3.0)],
+            parent: [(2.0, 1.0), (1.0, 2.0), (9.0, 6.0)]}
+
+    def fake_run_presets(work, trees):
+        assert trees == [presets.ROOT, parent]
+        samples = {tree: [{"wall_s": t, "cpu_s": c} for t, c in runs[tree]] for tree in trees}
+        return {tree: presets.summarize({("rabi", w): samples[tree] for w in presets.WORKERS})
+                for tree in trees}, {}
+
+    monkeypatch.setattr(presets, "run_presets", fake_run_presets)
+    monkeypatch.setattr(presets, "run_tier1", lambda work: {})
+    monkeypatch.setattr(presets, "environment", lambda: {})
+    monkeypatch.setattr(presets, "commit", lambda tree: None)
+    out = tmp_path / "bench.json"
+    assert presets.main([str(out), "--parent", str(parent)]) == 0
+    record = json.loads(out.read_text())
+    # wall pairs 0.5, 3 and 1.111; cpu pairs 2, 3 and 0.5: each the median of its
+    # pair ratios, not the ratio of the medians (3 / 2 for both)
+    for key, ratio in (("wall_ratio_to_baseline", 1.111), ("cpu_ratio_to_baseline", 2.0)):
+        assert record[key] == {"rabi": {f"workers_{w}": ratio for w in presets.WORKERS}}

@@ -282,9 +282,14 @@ class TestRealCoordinates:
         h, channels = step.segment.hamiltonian, step.channels
         m = liouvillian(h, channels)
         vec = system.initial_state().matrix.reshape(-1)
-        basis, read, generator, _ = real_block((h != 0).tobytes(), operator_bytes(channels),
-                                               (vec != 0).tobytes())
+        gather, read, generator, _ = real_block((h != 0).tobytes(), operator_bytes(channels),
+                                                (vec != 0).tobytes())
         k = len(read)
+        # Havel's basis: E_b is 1 (Re) or i (Im) where read puts b, Hermitian
+        upper = np.zeros((k, 2 * vec.size))
+        upper[np.arange(k), read] = 1
+        upper = upper.view(complex).reshape(k, 9, 9)
+        basis = upper + np.triu(upper, 1).conj().transpose(0, 2, 1)
 
         def state(x):
             return x @ basis.reshape(k, -1)
@@ -300,6 +305,10 @@ class TestRealCoordinates:
         np.testing.assert_allclose(state(gen @ x), m @ vec, atol=1e-14)
         rho = state(np.arange(k, dtype=float)).reshape(9, 9)
         np.testing.assert_array_equal(rho, rho.conj().T)
+        # the gather builds sum_b x_b E_b bit for bit, the signs of its zeros included
+        x = np.stack([x, dynamics.rk4_map(gen, 1e-3) @ x, np.where(x == 0, -0.0, x)])
+        exact = np.einsum("mb,bs->ms", x, basis.reshape(k, -1)).reshape(-1, 9, 9)
+        assert dynamics._states(x[..., None], gather, "").tobytes() == exact.tobytes()
 
     def test_unpickled_spec_hits_the_block_cache(self):
         # a pool task gets its spec pickled, so its channels are new objects
