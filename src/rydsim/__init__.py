@@ -22,9 +22,8 @@ import os as _os
 import sys as _sys
 
 # numpy reads it once, when it loads OpenBLAS; pool workers inherit it
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-if "numpy" not in _sys.modules and not any(v in _os.environ for v in _THREAD_VARS):
-    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+if "numpy" not in _sys.modules and "OMP_NUM_THREADS" not in _os.environ:
+    _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -457,8 +457,7 @@ def _step_maps(vecs: np.ndarray, hams: np.ndarray, durations: np.ndarray,
 
 
 def _states(x: np.ndarray, gather: np.ndarray, where: str) -> np.ndarray:
-    """The checked, read-only (m, d, d) states with coordinates x (m, k, 1)
-    and a block's ``gather``."""
+    """The checked, read-only (m, d, d) states with coordinates x (m, k, 1) and ``gather``."""
     x = x[..., 0]
     dim = math.isqrt(len(gather) // 2)
     # rho = sum_b x_b E_b exactly: each slot is one signed coordinate or 0,
