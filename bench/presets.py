@@ -16,9 +16,12 @@ repeats of the wall time and of ``cpu_s``, the user plus system time
 2-worker median wall time is above their 1-worker one. The Tier-1 suite
 runs once, on this tree. The output also records the machine as
 ``perfbench/run.py`` does: cores, Python, numpy and its BLAS, the thread
-environment, the commit and the load average. With ``--parent`` the
-parent's figures go under ``baseline``, and ``wall_ratio_to_baseline``
-holds, per preset and worker count, the median over the repeats of each
+environment, the commit and the load average; ``run_threads`` adds, per
+tree, the thread variables and thread count of a run's own process, which
+starts with this script's environment and may have ``OPENBLAS_NUM_THREADS``
+set by ``import rydsim``. With ``--parent`` the parent's figures go under
+``baseline``, and ``wall_ratio_to_baseline`` holds, per preset and
+worker count, the median over the repeats of each
 back-to-back pair's ratio of this tree's wall time to the parent's: a
 pair shares the host's state, so its ratio drops most of the drift that a
 ratio of the two medians keeps. ``cpu_ratio_to_baseline`` holds the same
@@ -54,12 +57,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 # perfbench's process timing (os.wait4, with reaped workers) and machine record
-from run import _env, _timed as timed, environment  # noqa: E402
+from run import THREAD_VARS, _env, _timed as timed, environment  # noqa: E402
 
 WORKERS = (1, 2)
 REPEATS = 3
 RATIO_BAND = (0.90, 1.10)  # per-pair ratios outside it get REPEATS more pairs
 CONTROL_COPIES = 2
+# a run's view of BLAS threads: the thread variables after import rydsim, and
+# the process's thread count once numpy has started OpenBLAS (None off Linux)
+THREAD_REPORT = """\
+import json, os, sys
+import rydsim  # before numpy, as in a run
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps({"threads_env": {k: os.environ.get(k) for k in sys.argv[1:]}, "threads": tasks}))
+"""
 
 
 def preset_names() -> list[str]:
@@ -72,6 +83,14 @@ def commit(tree: Path) -> str | None:
     out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True,
                          env={**os.environ, "GIT_CEILING_DIRECTORIES": str(tree.parent)})
     return out.stdout.strip() or None
+
+
+def run_threads(tree: Path) -> dict:
+    """What ``THREAD_REPORT`` prints in a process started as a run on ``tree`` starts."""
+    out = subprocess.run([sys.executable, "-c", THREAD_REPORT, *THREAD_VARS], cwd=ROOT,
+                         env={**_env(), "PYTHONPATH": str(tree / "src")}, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
 
 
 def interleave(pairs: list[tuple[str, int]], trees: list[Path],
@@ -238,7 +257,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     trees = [ROOT] + ([args.parent.resolve()] if args.parent else [])
-    record = {"machine": environment(), "repeats": REPEATS, "seed": 0, "workers": WORKERS}
+    record = {"machine": environment(), "run_threads": run_threads(ROOT), "repeats": REPEATS,
+              "seed": 0, "workers": WORKERS}
     with tempfile.TemporaryDirectory() as tmp:
         results, first_pass = run_presets(Path(tmp), trees)
         record.update(results[ROOT])
@@ -246,7 +266,8 @@ def main(argv=None) -> int:
         record["tier1"] = run_tier1(Path(tmp))
     if args.parent:
         base = results[trees[1]]
-        record["baseline"] = {"tree": str(trees[1]), "git_commit": commit(trees[1]), **base}
+        record["baseline"] = {"tree": str(trees[1]), "git_commit": commit(trees[1]),
+                              "run_threads": run_threads(trees[1]), **base}
         record["wall_ratio_to_baseline"] = pair_ratios(results[ROOT], base, "wall_s")
         record["cpu_ratio_to_baseline"] = pair_ratios(results[ROOT], base, "cpu_s")
         record["wall_ratio_first_pass"] = first_pass

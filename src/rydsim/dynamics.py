@@ -447,7 +447,11 @@ def _step_maps(vecs: np.ndarray, hams: np.ndarray, durations: np.ndarray,
     rate = np.maximum(np.abs(hams).sum(axis=2).max(axis=1), d_norm)
     with np.errstate(divide="ignore"):
         n_steps = np.ceil(durations / np.minimum(dt_max, STEP_NORM_PRODUCT / rate))
-    n_steps = np.maximum(n_steps, durations > 0).astype(int)  # >= 1 step unless empty
+    n_steps = np.maximum(n_steps, durations > 0)  # >= 1 step unless empty
+    if not (n_steps < 2**53).all():  # or NaN; past 2**63 the int wraps and powering never ends
+        raise FloatingPointError(f"a segment needs {n_steps.max():.3g} RK4 steps; its rate "
+                                 f"{rate.max():.3g}/us is too large to integrate")
+    n_steps = n_steps.astype(int)
     maps = generator(hams)
     maps[n_steps == 0] = 0  # never applied; zeroed so that squaring it cannot overflow
     for i, (duration, n) in enumerate(zip(durations.tolist(), n_steps.tolist())):

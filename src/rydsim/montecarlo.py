@@ -3,8 +3,8 @@
 Each shot draws a static per-atom Doppler detuning and position offset
 and compiles its scan point's sequence against that draw. Blocks of
 ceil(STACK_SHOTS / n_shots) consecutive points, fewer where a worker would
-get none, are the tasks; a block's shots propagate as one stack
-(``run_compiled``), each getting the numbers it gets alone. Shots are
+get none, are the tasks; each block makes one ``run_compiled`` call, which
+stacks the shots it can, each getting the numbers it gets alone. Shots are
 seeded individually from (master_seed, scan_index, shot_index) with a
 stable hash, so results are bit-identical regardless of block size,
 execution order or worker count.
@@ -12,8 +12,8 @@ execution order or worker count.
 Everything after the propagation runs once per block on the stacked
 (n_points, n_shots, d) final populations: the range and sum checks (a
 failure raises ``FloatingPointError``), detection, normalisation, the
-sampled-mode draws (each from its own shot's generator) and the shot
-averages. Detection is each point's ``DetectionModel.confusion_matrix``
+sampled-mode picks (``Generator.choice``'s, one uniform per shot) and the
+shot averages. Detection is each point's ``DetectionModel.confusion_matrix``
 (basis states to measured recapture patterns) times each shot's
 populations; ``apply_detection`` applies it to a labeled distribution.
 """
@@ -187,23 +187,19 @@ def wilson_interval(p_hat: float | np.ndarray, n: int):
 
 
 def _run_block(spec, values, first_index, n_shots, mode, master_seed):
-    """A run of consecutive scan points, propagated as one stack: (points, ...) results."""
+    """Consecutive scan points, propagated by one ``run_compiled`` call: (points, ...) results."""
     system, sigma_doppler = spec.system, spec.doppler_width()  # one width for every shot
 
-    # the shot loop only draws and compiles; each shot keeps its generator for its sampled-mode draw
-    rngs, compiled = [], []
+    compiled, uniforms = [], []  # the shot loop only draws and compiles
     for scan_index, value in enumerate(values, first_index):
         seq = spec.build(value)
         for shot in range(n_shots):
             rng = np.random.default_rng(shot_seed(master_seed, scan_index, shot))
             noise = sample_noise(sigma_doppler, spec.sigma_position_um, system.n_atoms, rng)
+            if mode == "sampled":  # the uniform rng.choice(p=...) would draw next
+                uniforms.append(rng.random())
             compiled.append(compile_sequence(seq, system, noise, ideal_pulses=spec.ideal_pulses))
-            rngs.append(rng)
-    # points whose steps differ in kind or channels cannot share a stack
-    kinds = itertools.groupby(compiled,
-                              lambda c: [(s.unitary is None, s.channels) for s in c.steps])
-    p = np.concatenate([run_compiled(list(shots), system.initial_state(), dt_max=spec.dt_max)
-                        for _, shots in kinds]).diagonal(axis1=1, axis2=2).real
+    p = run_compiled(compiled, system.initial_state(), spec.dt_max).diagonal(axis1=1, axis2=2).real
 
     bad = (p < -POSITIVITY_TOL) | (p > 1.0 + POSITIVITY_TOL)
     if bad.any():
@@ -222,8 +218,9 @@ def _run_block(spec, values, first_index, n_shots, mode, master_seed):
                   for d in (PERFECT_DETECTION, spec.detection or PERFECT_DETECTION))
     shots /= shots.sum(axis=2, keepdims=True)
     if mode == "sampled":
-        drawn = [rng.choice(len(v), p=v) for rng, v in zip(rngs, shots.reshape(len(rngs), -1))]
-        probs = (np.reshape(drawn, (*shots.shape[:2], 1)) == np.arange(shots.shape[2])).mean(1)
+        cdf = shots.cumsum(2)
+        drawn = (cdf / cdf[..., -1:] <= np.reshape(uniforms, (*shots.shape[:2], 1))).sum(2)
+        probs = (drawn[..., None] == np.arange(shots.shape[2])).mean(1)
     else:
         probs = shots.mean(axis=1)
     return probs, raw.mean(axis=1), shots
@@ -246,6 +243,8 @@ def run_ensemble(
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     if mode not in ("expectation", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if not -2**63 <= master_seed < 2**63:
@@ -253,7 +252,6 @@ def run_ensemble(
     values = np.asarray(list(scan_values), dtype=float)
     if not values.size:
         raise ValueError("scan_values is empty; a scan needs at least one value")
-    outcomes = measured_outcomes(spec.system.n_atoms)
 
     size = max(1, min(-(-STACK_SHOTS // n_shots), len(values) // n_workers))
     tasks = [(spec, values[i:i + size].tolist(), i, n_shots, mode, master_seed)
@@ -272,7 +270,7 @@ def run_ensemble(
     ci_low, ci_high = wilson_interval(probs, n_shots)
     return EnsembleResult(
         scan_values=values,
-        outcomes=outcomes,
+        outcomes=measured_outcomes(spec.system.n_atoms),
         probabilities=probs,
         ci_low=ci_low,
         ci_high=ci_high,

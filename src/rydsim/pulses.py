@@ -376,9 +376,9 @@ def compile_sequence(
 def run_compiled(compiled, rho0: DensityMatrix, dt_max: float = DEFAULT_DT_MAX):
     """Evolve an initial state through a compiled sequence, returning the end state.
 
-    Given a list of compiled shots of one sequence, walks their steps once
-    (a stacked U rho U^dagger, or one ``evolve`` call on the stacked states)
-    and returns the (n_shots, d, d) end states; one sequence is a batch of one.
+    Given a list of compiled shots, returns their (n_shots, d, d) end states. Runs of
+    consecutive shots whose steps agree in kind and channels walk them once as a stack (a
+    stacked U rho U^dagger, or one ``evolve`` call); one sequence is a batch of one.
     """
     # evolve is looked up at call time, so a wrapped dynamics.evolve is used
     from .dynamics import apply_unitary, evolve
@@ -386,14 +386,18 @@ def run_compiled(compiled, rho0: DensityMatrix, dt_max: float = DEFAULT_DT_MAX):
     if isinstance(compiled, CompiledSequence):
         end = run_compiled([compiled], rho0, dt_max)[0]
         return _trusted(DensityMatrix, end, rho0.basis_labels)
-    states = np.repeat(rho0.matrix[None], len(compiled), axis=0)
-    for steps in zip(*(shot.steps for shot in compiled)):
-        if steps[0].unitary is not None:
-            states = apply_unitary(states, np.array([step.unitary for step in steps]))
-        else:
-            segments = [step.segment for step in steps]
-            states = evolve(states, segments, steps[0].channels, dt_max=dt_max)
-    return states
+    stacks = []
+    for _, shots in itertools.groupby(compiled, lambda c: [(s.unitary is None, s.channels)
+                                                          for s in c.steps]):
+        shots = list(shots)
+        states = np.repeat(rho0.matrix[None], len(shots), axis=0)
+        for steps in zip(*(shot.steps for shot in shots)):
+            if steps[0].unitary is not None:
+                states = apply_unitary(states, np.array([s.unitary for s in steps]))
+            else:
+                states = evolve(states, [s.segment for s in steps], steps[0].channels, dt_max)
+        stacks.append(states)
+    return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
 
 
 # -- presets ---------------------------------------------------------------

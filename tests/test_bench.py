@@ -4,6 +4,7 @@ without starting a process."""
 import importlib.util
 import json
 import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -149,6 +150,7 @@ def test_parent_record_has_cpu_ratios_from_the_same_pairs_as_wall_ratios(monkeyp
     monkeypatch.setattr(presets, "run_tier1", lambda work: {})
     monkeypatch.setattr(presets, "environment", lambda: {})
     monkeypatch.setattr(presets, "commit", lambda tree: None)
+    monkeypatch.setattr(presets, "run_threads", lambda tree: {"tree": str(tree)})
     out = tmp_path / "bench.json"
     assert presets.main([str(out), "--parent", str(parent)]) == 0
     record = json.loads(out.read_text())
@@ -156,3 +158,20 @@ def test_parent_record_has_cpu_ratios_from_the_same_pairs_as_wall_ratios(monkeyp
     # pair ratios, not the ratio of the medians (3 / 2 for both)
     for key, ratio in (("wall_ratio_to_baseline", 1.111), ("cpu_ratio_to_baseline", 2.0)):
         assert record[key] == {"rabi": {f"workers_{w}": ratio for w in presets.WORKERS}}
+    # each tree's thread view is recorded with that tree's figures
+    assert record["run_threads"] == {"tree": str(presets.ROOT)}
+    assert record["baseline"]["run_threads"] == {"tree": str(parent)}
+
+
+def test_run_threads_come_from_a_process_that_imports_rydsim(monkeypatch):
+    presets = load_presets(monkeypatch)
+    monkeypatch.undo()  # this test starts processes
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    # unset in this process, set to 1 by import rydsim in the run's process
+    report = presets.run_threads(presets.ROOT)
+    assert report["threads_env"]["OPENBLAS_NUM_THREADS"] == "1"
+    if sys.platform.startswith("linux"):
+        assert report["threads"] == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # a setting made here reaches the run
+    assert presets.run_threads(presets.ROOT)["threads_env"]["OPENBLAS_NUM_THREADS"] == "2"

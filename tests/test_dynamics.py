@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from rydsim.dynamics import (
 )
 from rydsim.units import TWO_PI
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 GR_BASIS = ("g", "r")
 ATOM_BASIS = ("g", "r", "r'")
 PAIR_BASIS = ("gg", "gr", "rg", "rr")
@@ -418,6 +423,26 @@ class TestNonFiniteArguments:
         rho0 = DensityMatrix.pure("g", GR_BASIS)
         with pytest.raises(ValueError, match="dt_max must be positive, got nan"):
             evolve(rho0, [Segment(drive_hamiltonian(2.0, 2), 0.01)], dt_max=math.nan)
+
+    def test_huge_rate_raises_instead_of_hanging(self):
+        # ceil(duration / step) past 2**63 once wrapped to a negative step count,
+        # and the binary powering never ended: run it in a child with a timeout,
+        # so that a regression fails here instead of hanging the suite
+        code = (
+            "from rydsim.dynamics import DensityMatrix, Segment, evolve\n"
+            "rho = DensityMatrix.pure('g', ('g', 'r'))\n"
+            "seg = Segment([[0, 1e300], [1e300, 0]], 1.0)\n"
+            "for start in (rho, rho.matrix[None]):  # a trajectory, then a stack\n"
+            "    try:\n"
+            "        evolve(start, [seg])\n"
+            "    except FloatingPointError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout.splitlines()
+        assert out == ["a segment needs 2.5e+301 RK4 steps; its rate 1e+300/us is too large "
+                       "to integrate"] * 2
 
 
 class TestMatrixHelpers:

@@ -2,6 +2,10 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from rydsim.fitting import FitResult
 from rydsim.montecarlo import EnsembleResult, measured_outcomes, run_ensemble
 from rydsim.pulses import SystemModel
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 QUICK_RABI = {
     "preset": "rabi",
     "scan": {"start": 0.05, "stop": 1.55, "points": 16},
@@ -337,6 +342,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: population of 'g'")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("preset_name, section, key, value", [
+        ("rabi", "sequence", "rabi_mhz", "1.0e+300"),
+        ("ramsey", "atom", "temperature_uk", "1.0e+300"),
+        ("rabi", "atom", "t_blackbody_us", "1.0e-300"),
+        ("rabi", "noise", "gamma_laser", "1.0e+300"),
+    ])
+    def test_huge_rate_exits_2_instead_of_hanging(self, tmp_path, preset_name, section, key,
+                                                   value):
+        # each once ran for minutes: a step count past 2**63 wrapped negative and
+        # the powering never ended; a child with a timeout fails instead of hanging
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            f"preset: {preset_name}\n"
+            "n_shots: 1\n"
+            "n_workers: 1\n"
+            "scan: {start: 0.1, stop: 0.2, points: 2}\n"
+            f"{section}: {{{key}: {value}}}\n"
+            f"output_dir: {tmp_path / 'out'}\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-m", "rydsim.cli", "run", str(config)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("numerical failure: a segment needs")
+        assert "Traceback" not in proc.stderr
 
     def test_strong_dephasing_converges(self, tmp_path):
         # the step cap counts the dissipator, so RK4 stays stable at this rate

@@ -11,7 +11,7 @@ from rydsim.atoms import (
     detection_probabilities,
     doppler_sigma,
 )
-from rydsim import preset
+from rydsim import montecarlo, preset
 from rydsim.blockade import TwoAtomParams
 from rydsim.experiments import config_from_dict
 from rydsim.fitting import fit_damped_cosine
@@ -283,6 +283,40 @@ class TestRunEnsemble:
         assert raw.column("r")[0] > 0.995
         assert abs(det.column("r")[0] - 0.96) < 5e-3
         np.testing.assert_allclose(det.raw_probabilities, raw.probabilities, atol=1e-12)
+
+    @pytest.mark.parametrize("n_workers", [0, -1])
+    def test_fewer_than_one_worker_is_refused(self, n_workers):
+        spec = make_spec("rabi", "drive_time", SystemModel(atom=AtomParams(), n_atoms=1))
+        with pytest.raises(ValueError, match="n_workers must be >= 1"):
+            run_ensemble(spec, [0.1], n_shots=1, n_workers=n_workers)
+
+    @pytest.mark.parametrize("n_atoms", [1, 2])
+    def test_sampled_pick_is_generator_choice(self, n_atoms, monkeypatch):
+        # random end states with zero populations stand in for the propagation;
+        # each pick must be what the shot's generator, after its noise draws,
+        # picks with choice(k, p=...) from that shot's distribution
+        fake = np.random.default_rng(n_atoms)
+
+        def end_states(compiled, rho0, dt_max):
+            p = fake.dirichlet(np.ones(rho0.dim), len(compiled))
+            p[fake.random(p.shape) < 0.5] = 0.0
+            p[np.arange(len(p)), fake.integers(rho0.dim, size=len(p))] = 1.0
+            return np.eye(rho0.dim) * (p / p.sum(axis=1, keepdims=True))[:, None]
+
+        monkeypatch.setattr(montecarlo, "run_compiled", end_states)
+        build = "rabi" if n_atoms == 1 else "blockade_rabi"
+        spec = make_spec(build, "drive_time", SystemModel(atom=AtomParams(), n_atoms=n_atoms))
+        for seed in range(6):
+            res = run_ensemble(spec, [0.1, 0.2, 0.3], n_shots=30, mode="sampled",
+                               master_seed=seed)
+            assert (res.per_shot == 0).any()
+            for i in range(3):
+                counts = np.zeros(len(res.outcomes))
+                for shot, v in enumerate(res.per_shot[i]):
+                    rng = np.random.default_rng(shot_seed(seed, i, shot))
+                    sample_noise(spec.doppler_width(), spec.sigma_position_um, n_atoms, rng)
+                    counts[rng.choice(len(v), p=v)] += 1
+                assert np.array_equal(res.probabilities[i], counts / 30)
 
     def test_invalid_mode_rejected(self):
         system = SystemModel(atom=AtomParams(), n_atoms=1)

@@ -137,6 +137,29 @@ class TestIdealPulses:
         assert abs(rho.population("r") - 1.0) < 1e-12
 
 
+class TestRunCompiledList:
+    def test_mixed_list_equals_each_shot_alone(self):
+        # step counts (rabi 1, ramsey 3, spin echo 5), kinds (ideal pulses are
+        # unitaries) and channels (with and without scattering) mixed in one list
+        rng = np.random.default_rng(21)
+        systems = [SystemModel(atom=AtomParams()), bare_system()]
+        seqs = [preset("rabi", drive_time=0.3), preset("ramsey", gap=1.5),
+                preset("spin_echo", gap=2.0), preset("phase_gate_echo", gate_time=0.2)]
+        shots = []
+        for seq, system, ideal in [(seqs[0], 0, False), (seqs[0], 0, False), (seqs[1], 0, False),
+                                   (seqs[1], 0, True), (seqs[1], 1, False), (seqs[0], 1, False),
+                                   (seqs[2], 0, True), (seqs[2], 0, False), (seqs[3], 0, False),
+                                   (seqs[1], 0, False), (seqs[1], 0, False)]:
+            noise = NoiseSample(rng.normal(0.0, 300.0, 1), rng.normal(0.0, 0.2, 1))
+            shots.append(compile_sequence(seq, systems[system], noise, ideal_pulses=ideal))
+        rho0 = systems[0].initial_state()
+        stacked = run_compiled(shots, rho0)
+        assert stacked.shape == (len(shots), 3, 3)
+        for shot, end in zip(shots, stacked):
+            alone = run_compiled(shot, rho0).matrix
+            assert np.array_equal(end, alone) and not alone.flags.writeable
+
+
 class TestPresets:
     def test_ramsey_structure(self):
         seq = preset("ramsey", gap=2.0)
