@@ -5,15 +5,14 @@ tolerance and reports a single pass/fail line. The preset checks (3-7 and
 10) run a preset's config at seed 7 without detection errors and pass iff
 that preset's analyzer reports at least one scalar with a pass/fail rule
 and every such scalar passes, so each rule lives in one place, the
-analyzer. The same checks back the pytest acceptance module and the
-``rydsim check`` CLI subcommand.
+analyzer. A check returns ``(passed, detail)`` and prints nothing:
+``rydsim check`` times and prints each entry of ``ALL_CHECKS``, and the
+pytest acceptance module runs each as a test.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -33,16 +32,7 @@ from .experiments import config_from_dict, preset_info
 from .montecarlo import apply_detection, run_ensemble
 from .units import TWO_PI
 
-__all__ = ["CheckResult", "ALL_CHECKS", "run_all"]
-
-
-@dataclass
-class CheckResult:
-    criterion: int
-    title: str
-    passed: bool
-    detail: str
-    seconds: float
+__all__ = ["ALL_CHECKS"]
 
 
 def _run(config: dict):
@@ -210,15 +200,3 @@ ALL_CHECKS: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
     (11, "decoherence-free subspace", check_decoherence_free_subspace),
     (12, "integrator vs matrix exponential", check_integrator_oracle),
 ]
-
-
-def run_all() -> list[CheckResult]:
-    results = []
-    for num, title, fn in ALL_CHECKS:
-        start = time.perf_counter()
-        passed, detail = fn()
-        result = CheckResult(num, title, passed, detail, time.perf_counter() - start)
-        results.append(result)
-        status = "PASS" if passed else "FAIL"
-        print(f"[{status}] {num:2d} {title}: {detail} ({result.seconds:.1f}s)")
-    return results

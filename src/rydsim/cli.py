@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface, and the only module that prints or picks an exit code.
 
 Subcommands:
 
@@ -8,10 +8,12 @@ Subcommands:
 * ``rydsim check``: run the built-in verification suite and print a
   pass/fail table.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure, neither
-with a traceback. Config values are read as ``config_from_dict`` says (YAML
-booleans only, finite numbers). ``RYDSIM_WORKERS``, an integer >= 1, sets
-the default worker count (default: the machine's available parallelism).
+Exit codes: 0 success; 1 bad input (a usage error, ``OSError`` or
+``ValueError``: ``error: ...``); 2 numerical failure (``ArithmeticError``:
+``numerical failure: ...``) or a failed check. ``main`` alone maps errors
+to these, never with a traceback. Config values follow ``config_from_dict``
+(YAML booleans only, finite numbers). ``RYDSIM_WORKERS``, an integer >= 1,
+sets the default worker count (default: the machine's available parallelism).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import __version__
 from .experiments import list_presets, load_config, run_experiment, worker_count
@@ -41,21 +44,13 @@ def _default_workers() -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        if "n_workers" not in cfg.raw:
-            cfg.n_workers = _default_workers()
-    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        manifest = run_experiment(cfg)
-    except OSError as exc:  # e.g. an output_dir that is a file
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ArithmeticError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    cfg = load_config(args.config)
+    if "n_workers" not in cfg.raw:
+        cfg.n_workers = _default_workers()
+    manifest = run_experiment(cfg)
+    for s in manifest.derived:
+        flag = "PASS" if s.passed else ("FAIL" if s.passed is False else "info")
+        print(f"  {s.name} = {s.value:.6g}  [{flag}: {s.target}]{f' ({s.note})' if s.note else ''}")
     print(f"wrote {manifest.data_file} and manifest ({manifest.duration_s}s)")
     return EXIT_OK
 
@@ -79,21 +74,28 @@ def _cmd_list(_args) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    from .acceptance import run_all
+def _cmd_check(_args) -> int:
+    from .acceptance import ALL_CHECKS  # looked up per call, so a test can swap the list
 
-    try:
-        results = run_all()
-    except ArithmeticError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    failed = [r for r in results if not r.passed]
-    print(f"\n{len(results) - len(failed)}/{len(results)} checks passed")
+    failed = 0
+    for num, title, fn in ALL_CHECKS:
+        start = time.perf_counter()
+        passed, detail = fn()
+        failed += not passed
+        print(f"[{'PASS' if passed else 'FAIL'}] {num:2d} {title}: {detail} "
+              f"({time.perf_counter() - start:.1f}s)")
+    print(f"\n{len(ALL_CHECKS) - failed}/{len(ALL_CHECKS)} checks passed")
     return EXIT_OK if not failed else EXIT_NUMERICAL
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is bad input: exit 1, not argparse's 2
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rydsim",
         description="Simulate and analyze two-photon Rydberg qubit experiments",
     )
@@ -114,9 +116,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -712,7 +712,7 @@ def _jsonify(obj):
     return obj
 
 
-def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> RunManifest:
+def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     """Execute a validated config: simulate, fit, and persist results."""
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)  # a bad path fails before the simulation
@@ -752,9 +752,4 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> RunManifest:
     manifest_file.write_text(
         json.dumps(_jsonify(asdict(manifest)), indent=2) + "\n", encoding="utf-8"
     )
-    if not quiet:
-        for s in derived:
-            flag = "PASS" if s.passed else ("FAIL" if s.passed is False else "info")
-            note = f" ({s.note})" if s.note else ""
-            print(f"  {s.name} = {s.value:.6g}  [{flag}: {s.target}]{note}")
     return manifest

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -241,10 +242,9 @@ def run_ensemble(
     Results are reduced in scan order and are bit-identical for a given
     (master_seed, spec) regardless of ``n_workers``.
     """
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    for name, count in (("n_shots", n_shots), ("n_workers", n_workers)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     if mode not in ("expectation", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if not -2**63 <= master_seed < 2**63:

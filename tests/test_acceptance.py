@@ -31,10 +31,15 @@ def diverged():
     raise FloatingPointError("state diverged")
 
 
+def bad_input():
+    raise ValueError("bad input")
+
+
 @pytest.mark.parametrize("checks, code", [
     ([lambda: (True, "ok"), lambda: (True, "ok")], 0),
     ([lambda: (True, "ok"), lambda: (False, "off")], 2),
     ([lambda: (True, "ok"), diverged], 2),
+    ([lambda: (True, "ok"), bad_input], 1),
 ])
 def test_check_exit_codes(monkeypatch, capsys, checks, code):
     monkeypatch.setattr(acceptance, "ALL_CHECKS",
@@ -43,6 +48,7 @@ def test_check_exit_codes(monkeypatch, capsys, checks, code):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert ("numerical failure: state diverged" in err) == (checks[-1] is diverged)
+    assert ("error: bad input" in err) == (checks[-1] is bad_input)
 
 
 def stub_analyzer(monkeypatch, scalars, preset="t1", criterion=3):

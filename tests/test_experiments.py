@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import json
@@ -184,7 +185,7 @@ class TestPresetCatalog:
 class TestRunExperiment:
     def test_writes_csv_and_manifest(self, tmp_path):
         cfg = quick_config(tmp_path)
-        manifest = run_experiment(cfg, quiet=True)
+        manifest = run_experiment(cfg)
         csv_path = tmp_path / "out" / "rabi.csv"
         manifest_path = tmp_path / "out" / "rabi_manifest.json"
         assert csv_path.exists() and manifest_path.exists()
@@ -202,9 +203,9 @@ class TestRunExperiment:
 
     def test_rerun_reproduces_data_bytes(self, tmp_path):
         cfg = quick_config(tmp_path)
-        run_experiment(cfg, quiet=True)
+        run_experiment(cfg)
         first = (tmp_path / "out" / "rabi.csv").read_bytes()
-        run_experiment(quick_config(tmp_path), quiet=True)
+        run_experiment(quick_config(tmp_path))
         second = (tmp_path / "out" / "rabi.csv").read_bytes()
         assert first == second
 
@@ -219,7 +220,7 @@ class TestRunExperiment:
                 "scan": {"start": 0.05, "stop": 1.3, "points": 41},
             },
         )
-        manifest = run_experiment(cfg, quiet=True)
+        manifest = run_experiment(cfg)
         scalar = {d.name: d for d in manifest.derived}["coherence_time_us"]
         assert math.isinf(scalar.value)
         assert scalar.note == "no decay detected"
@@ -233,7 +234,7 @@ class TestRunExperiment:
                 "output_dir": str(tmp_path / "out"),
             }
         )
-        manifest = run_experiment(cfg, quiet=True)
+        manifest = run_experiment(cfg)
         scalars = {d.name: d.value for d in manifest.derived}
         assert 0.8 < scalars["parity_contrast"] <= 1.0
         assert 0.85 < scalars["bell_fidelity"] <= 1.0
@@ -268,7 +269,7 @@ class TestRunExperiment:
                 "output_dir": str(tmp_path / "out"),
             }
         )
-        manifest = run_experiment(cfg, quiet=True)
+        manifest = run_experiment(cfg)
         scalar = {d.name: d for d in manifest.derived}["t1_lifetime_us"]
         assert scalar.passed is True
 
@@ -450,6 +451,46 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("preset_name, line", [
+        ("rabi", "sequence: {rabi_mhz: 1.0e+308}"),
+        ("blockade_rabi", "two_atom: {interaction_u_mhz: 1.0e+308}"),
+        ("phase_gate_echo", "sequence: {light_shift_mhz: 1.0e+308}"),
+        ("ramsey", "sequence: {fringe_mhz: 1.0e+308}"),
+    ], ids=["rabi_mhz", "interaction_u_mhz", "light_shift_mhz", "fringe_mhz"])
+    def test_bad_number_found_during_the_run_exits_1(self, tmp_path, capsys, preset_name, line):
+        # each value is finite, so the config passes validation; only the
+        # Hamiltonian the run builds from it is not
+        config = tmp_path / "cfg.yaml"
+        config.write_text(
+            f"preset: {preset_name}\n{line}\nn_workers: 1\nscan: {{points: 2}}\nn_shots: 1\n"
+            f"output_dir: {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("error:") == 1
+        assert err.splitlines()[-1] == "error: hamiltonian has non-finite entries"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["bogus"], 1), (["run"], 1), (["run", "a.yaml", "b.yaml"], 1), (["list", "--yaml"], 1),
+        (["--help"], 0), (["--version"], 0),
+    ])
+    def test_usage_errors_exit_1_and_help_exits_0(self, capsys, argv, code):
+        # exit 2 is kept for numerical failure, so argparse's own 2 is not used
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        assert ("usage: rydsim" in capsys.readouterr().err) == (code == 1)
+
+    def test_only_the_cli_prints(self):
+        printers = {
+            path.name
+            for path in (SRC / "rydsim").glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+        }
+        assert printers == {"cli.py"}
 
     def test_output_dir_that_is_a_file_exits_1_before_simulating(self, tmp_path, capsys):
         blocker = tmp_path / "taken"

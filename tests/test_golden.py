@@ -39,7 +39,7 @@ def golden_config(name, mode, output_dir, n_workers=1):
 
 
 def run_csv(name, mode, output_dir, n_workers=1):
-    manifest = run_experiment(golden_config(name, mode, output_dir, n_workers), quiet=True)
+    manifest = run_experiment(golden_config(name, mode, output_dir, n_workers))
     return Path(manifest.data_file).read_text(encoding="utf-8")
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -284,11 +285,14 @@ class TestRunEnsemble:
         assert abs(det.column("r")[0] - 0.96) < 5e-3
         np.testing.assert_allclose(det.raw_probabilities, raw.probabilities, atol=1e-12)
 
-    @pytest.mark.parametrize("n_workers", [0, -1])
-    def test_fewer_than_one_worker_is_refused(self, n_workers):
+    @pytest.mark.parametrize("count", [0, -1, 1.5, True])
+    def test_fewer_than_one_worker_is_refused(self, count):
+        # both counts are refused here by name, not later by the task split
         spec = make_spec("rabi", "drive_time", SystemModel(atom=AtomParams(), n_atoms=1))
-        with pytest.raises(ValueError, match="n_workers must be >= 1"):
-            run_ensemble(spec, [0.1], n_shots=1, n_workers=n_workers)
+        for name in ("n_shots", "n_workers"):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= 1, "
+                                                           f"got {count!r}")):
+                run_ensemble(spec, [0.1], **{"n_shots": 1, "n_workers": 1, name: count})
 
     @pytest.mark.parametrize("n_atoms", [1, 2])
     def test_sampled_pick_is_generator_choice(self, n_atoms, monkeypatch):
