@@ -35,9 +35,11 @@ Each segment's step is capped so that h*||H||inf and h*||D||inf (D the
 dissipator) stay at most 0.04: strong interactions and fast decays get
 finer steps than ``dt_max``, and RK4 stays stable.
 
-The trace is never renormalized. Every state ``evolve`` returns is checked
-for finite entries, Hermiticity, unit trace and positivity, once per stack;
-a failure raises ``FloatingPointError``.
+``Segment`` is a plain record: ``evolve`` checks the segments of each call
+(shape, finite and Hermitian H, nonnegative finite duration) once, as a
+stack, raising ``ValueError``. The trace is never renormalized. Every state
+``evolve`` returns is checked for finite entries, Hermiticity, unit trace
+and positivity, once per stack; a failure raises ``FloatingPointError``.
 """
 
 from __future__ import annotations
@@ -103,14 +105,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     one product-basis rule (np.kron's result, at a fraction of its call cost)."""
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
-
-
-def _trusted(cls, *values):
-    """``cls(*values)`` for a frozen dataclass without its ``__post_init__``
-    checks, for values already checked or valid by construction (arrays read-only)."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return obj
 
 
 def tensor(a, b) -> np.ndarray:
@@ -208,22 +202,11 @@ class LindbladChannel:
 
 @dataclass(frozen=True, eq=False)
 class Segment:
-    """A constant Hamiltonian (H/hbar, rad/us) applied for a duration in us."""
+    """A constant Hamiltonian (H/hbar, rad/us) applied for a duration in us:
+    a plain record, which ``evolve`` checks."""
 
     hamiltonian: np.ndarray
     duration: float
-
-    def __post_init__(self):
-        h = as_square_matrix(self.hamiltonian, "hamiltonian").copy()
-        h.setflags(write=False)
-        object.__setattr__(self, "hamiltonian", h)
-        if not 0 <= self.duration < math.inf:
-            raise ValueError(f"duration must be nonnegative and finite, got {self.duration}")
-        _check_hamiltonians(h)
-
-    @property
-    def dim(self) -> int:
-        return self.hamiltonian.shape[0]
 
 
 def population(rho: DensityMatrix, label: str) -> float:
@@ -489,9 +472,10 @@ def evolve(rho0, segments, channels=(), dt_max: float = DEFAULT_DT_MAX,
     through its own one of n ``segments`` and the read-only stack of end
     states is returned. The trace is never renormalized.
 
-    Raises ``ValueError`` on dimension mismatches or a non-finite or
-    non-Hermitian Hamiltonian, and ``FloatingPointError`` when a returned
-    state is not finite, not Hermitian, has lost its trace or its positivity.
+    Raises ``ValueError`` on dimension mismatches, a negative or non-finite
+    duration or a non-finite or non-Hermitian Hamiltonian, and
+    ``FloatingPointError`` when a returned state is not finite, not
+    Hermitian, has lost its trace or its positivity.
     """
     if not dt_max > 0:
         raise ValueError(f"dt_max must be positive, got {dt_max}")
@@ -499,16 +483,22 @@ def evolve(rho0, segments, channels=(), dt_max: float = DEFAULT_DT_MAX,
         raise ValueError(f"sample_dt must be positive and finite, got {sample_dt}")
     channels, segments = tuple(channels), list(segments)
     dim = rho0.dim if isinstance(rho0, DensityMatrix) else rho0.shape[1]
-    for item in (*channels, *segments):
-        if item.dim != dim:
-            raise ValueError(f"{type(item).__name__} dim {item.dim} != state dim {dim}")
-    hams = np.array([seg.hamiltonian for seg in segments]).reshape(len(segments), dim, dim)
-    _check_hamiltonians(hams)  # compiled segments skip Segment's check: one per call here
+    for ch in channels:
+        if ch.dim != dim:
+            raise ValueError(f"LindbladChannel dim {ch.dim} != state dim {dim}")
+    # Segment is a plain record: its rules are checked here, once per call
+    hams = np.array([seg.hamiltonian for seg in segments] or np.empty((0, dim, dim)), complex)
+    if hams.shape[1:] != (dim, dim):
+        raise ValueError(f"Segment dim {hams.shape[1:]} != state dim {dim}")
+    durations = np.array([seg.duration for seg in segments], dtype=float)
+    bad = durations[~((durations >= 0) & (durations < math.inf))]
+    if len(bad):
+        raise ValueError(f"duration must be nonnegative and finite, got {bad[0]}")
+    _check_hamiltonians(hams)
     if not isinstance(rho0, DensityMatrix):
         if sample_dt is not None:
             raise ValueError("sample_dt needs a single DensityMatrix, not a stack of states")
         vecs = np.ascontiguousarray(rho0, dtype=complex).reshape(len(segments), -1)
-        durations = np.array([seg.duration for seg in segments])
         # shots with equal H patterns and state supports share one block
         keys = np.c_[hams.reshape(len(hams), -1) != 0, vecs != 0]
         out, todo = np.empty_like(vecs), np.ones(len(keys), dtype=bool)
@@ -525,21 +515,21 @@ def evolve(rho0, segments, channels=(), dt_max: float = DEFAULT_DT_MAX,
 
     trajectory: list[tuple[float, DensityMatrix]] = [(0.0, rho0)]
     state, t = np.ascontiguousarray(rho0.matrix, dtype=complex), 0.0
-    for seg in segments:
-        if seg.duration == 0.0:
+    for ham, duration in zip(hams, durations.tolist()):
+        if duration == 0.0:
             trajectory.append((t, trajectory[-1][1]))
             continue
-        vecs, hams = state.reshape(1, -1), seg.hamiltonian[None]
-        gather, maps, n_steps, x = _step_maps(vecs, hams, np.r_[seg.duration], channels, dt_max)
+        gather, maps, n_steps, x = _step_maps(
+            state.reshape(1, -1), ham[None], np.r_[duration], channels, dt_max)
         n_steps = int(n_steps[0])
-        h = seg.duration / n_steps
+        h = duration / n_steps
         chunk = n_steps if sample_dt is None else max(1, round(sample_dt / h))
         ends = np.r_[chunk:n_steps:chunk, n_steps]
         # each sample is its own power of the start state, so sampling leaves the end as it is
         x = _power_apply(maps, ends, np.broadcast_to(x, (len(ends), *x.shape[1:])))
-        states = _states(x, gather, f"in t = {t:.6g} to {t + seg.duration:.6g} us")
+        states = _states(x, gather, f"in t = {t:.6g} to {t + duration:.6g} us")
         for end, state in zip(ends.tolist(), states):
-            time = t + (seg.duration if end == n_steps else end * h)
-            trajectory.append((time, _trusted(DensityMatrix, state, rho0.basis_labels)))
-        state, t = states[-1], t + seg.duration
+            time = t + (duration if end == n_steps else end * h)
+            trajectory.append((time, DensityMatrix(state, rho0.basis_labels)))
+        state, t = states[-1], t + duration
     return trajectory

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, pulses
 from .atoms import AtomParams, DetectionModel, doppler_sigma
 from .blockade import BellRecord, TwoAtomParams, detection_corrected_fidelity
-from .dynamics import DEFAULT_DT_MAX
+from .dynamics import DEFAULT_DT_MAX, _check_hamiltonians
 from .fitting import fit_cosine, fit_damped_cosine, fit_decay
 from .montecarlo import (
     DEFAULT_SIGMA_POSITION_UM, EnsembleResult, EnsembleSpec, run_ensemble, shot_seed,
@@ -147,7 +147,10 @@ def _number(value, name: str) -> float:
     """A finite int or float. PyYAML reads 1e-3 (no dot) as a string, refused here."""
     _require(isinstance(value, numbers.Real) and not isinstance(value, bool),
              f"{name} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be finite, got an integer past the float range") from None
     _require(math.isfinite(value) or (value == math.inf and name in _MAY_BE_INFINITE),
              f"{name} must be finite, got {value}")
     return value
@@ -260,10 +263,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     system = cfg.system()  # surface inconsistent model/noise combinations now
     if info.name == "parity_scan":  # its analysis also runs the Bell-prep pulse
         sequences.append(_bell_prep(cfg))
+    try:  # finite values can still overflow a Hamiltonian: refused once, here
+        with np.errstate(invalid="ignore", over="ignore"):
+            compiled = [compile_sequence(seq, system, ideal_pulses=cfg.ideal_pulses)
+                        for seq in sequences]
+        for segment in (seg for c in compiled for seg in c.segments):
+            _check_hamiltonians(segment.hamiltonian)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     try:  # a tabulated f_g must cover every trap-off time
-        for seq in sequences if cfg.detection else ():
-            compiled = compile_sequence(seq, system, ideal_pulses=cfg.ideal_pulses)
-            cfg.detection.fg_at(compiled.total_duration)
+        for c in compiled if cfg.detection else ():
+            cfg.detection.fg_at(c.total_duration)
     except ValueError as exc:
         raise ConfigError(f"detection.f_g_table: {exc}") from None
     return cfg

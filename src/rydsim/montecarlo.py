@@ -31,7 +31,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .atoms import SINGLE_ATOM_LEVELS, DetectionModel, PERFECT_DETECTION, doppler_sigma
-from .dynamics import DEFAULT_DT_MAX, POSITIVITY_TOL, _trusted
+from .dynamics import DEFAULT_DT_MAX, POSITIVITY_TOL
 from .pulses import (
     NoiseSample,
     PulseSequence,
@@ -77,8 +77,7 @@ def sample_noise(
         raise ValueError("noise widths must be nonnegative and finite")
     doppler = rng.normal(0.0, 1.0, size=n_atoms) * sigma_doppler_krad_s
     position = rng.normal(0.0, 1.0, size=n_atoms) * sigma_position_um
-    # finite floats by construction, so the NoiseSample checks are skipped
-    return _trusted(NoiseSample, tuple(doppler.tolist()), tuple(position.tolist()))
+    return NoiseSample(tuple(doppler.tolist()), tuple(position.tolist()))
 
 
 def measured_outcomes(n_atoms: int) -> tuple[str, ...]:

@@ -28,7 +28,8 @@ import numpy as np
 from .atoms import (SINGLE_ATOM_LEVELS, AtomParams, _product_index, effective_wavevector,
                     rydberg_lifetime)
 from .blockade import TwoAtomParams
-from .dynamics import DEFAULT_DT_MAX, DensityMatrix, LindbladChannel, Segment, _kron, _trusted
+from .dynamics import (DEFAULT_DT_MAX, DensityMatrix, LindbladChannel, Segment,
+                       _check_hamiltonians, _kron)
 from .units import TWO_PI, krad_s_to_angular, mhz_to_angular
 
 __all__ = [
@@ -113,20 +114,12 @@ class NoiseSample:
     """One Monte Carlo draw: per-atom Doppler detuning and position offset.
 
     Doppler detunings are in krad/s (static within a shot); positions are
-    offsets in um from the nominal array positions.
+    offsets in um from the nominal array positions. A plain record: a wrong
+    length fails in ``SystemModel.hamiltonian``, a non-finite draw where its H is checked.
     """
 
     doppler_krad_s: tuple[float, ...]
     position_um: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "doppler_krad_s", tuple(map(float, self.doppler_krad_s)))
-        object.__setattr__(self, "position_um", tuple(map(float, self.position_um)))
-        if len(self.doppler_krad_s) != len(self.position_um):
-            raise ValueError("doppler and position lengths differ")
-        values = self.doppler_krad_s + self.position_um
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("non-finite noise sample")
 
 
 def zero_noise(n_atoms: int) -> NoiseSample:
@@ -361,14 +354,15 @@ def compile_sequence(
         drive = isinstance(el, GlobalDrive)
         if drive and ideal_pulses:
             doppler_free = NoiseSample((0.0,) * system.n_atoms, noise.position_um)
-            w, v = np.linalg.eigh(system.hamiltonian(el, doppler_free))
+            h = system.hamiltonian(el, doppler_free)
+            _check_hamiltonians(h)
+            w, v = np.linalg.eigh(h)
             u = (v * np.exp(-1j * w * el.duration)) @ v.conj().T
             steps.append(CompiledStep(channels=(), unitary=u))
         else:
-            # Hermitian by construction; evolve checks each stack it gets
-            h = system.hamiltonian(el, noise)
+            h = system.hamiltonian(el, noise)  # evolve checks each stack it gets
             h.setflags(write=False)
-            segment = _trusted(Segment, h, el.duration)
+            segment = Segment(h, el.duration)
             steps.append(CompiledStep(system.channels(drive_on=drive), segment=segment))
     return CompiledSequence(tuple(steps))
 
@@ -384,8 +378,7 @@ def run_compiled(compiled, rho0: DensityMatrix, dt_max: float = DEFAULT_DT_MAX):
     from .dynamics import apply_unitary, evolve
 
     if isinstance(compiled, CompiledSequence):
-        end = run_compiled([compiled], rho0, dt_max)[0]
-        return _trusted(DensityMatrix, end, rho0.basis_labels)
+        return DensityMatrix(run_compiled([compiled], rho0, dt_max)[0], rho0.basis_labels)
     stacks = []
     for _, shots in itertools.groupby(compiled, lambda c: [(s.unitary is None, s.channels)
                                                           for s in c.steps]):

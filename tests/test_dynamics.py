@@ -118,10 +118,12 @@ class TestEvolve:
             evolve(rho0, [Segment(np.zeros((3, 3), complex), 1.0)])
 
     def test_non_hermitian_hamiltonian_raises(self):
+        rho0 = DensityMatrix.pure("g", GR_BASIS)
         h = np.zeros((2, 2), complex)
         h[0, 1] = 1.0  # no conjugate partner
-        with pytest.raises(ValueError):
-            Segment(h, 1.0)
+        for start in (rho0, rho0.matrix[None]):  # a trajectory, then a stack
+            with pytest.raises(ValueError):
+                evolve(start, [Segment(h, 1.0)])
 
     def test_bad_dt_raises(self):
         rho0 = DensityMatrix.pure("g", GR_BASIS)
@@ -383,19 +385,24 @@ class TestNonFiniteArguments:
     """NaN, infinite and non-positive arguments fail where they enter, naming the argument."""
 
     def test_segment_rejects_nan_hamiltonian(self):
-        with pytest.raises(ValueError, match="hamiltonian has non-finite entries"):
-            Segment(np.full((2, 2), np.nan), 1.0)
-        with pytest.raises(ValueError, match="duration must be nonnegative and finite, got inf"):
-            Segment(np.zeros((2, 2)), math.inf)
+        # Segment is a plain record: evolve checks it, on a trajectory and on a stack
+        rho0 = DensityMatrix.pure("g", GR_BASIS)
+        for start in (rho0, rho0.matrix[None]):
+            with pytest.raises(ValueError, match="hamiltonian has non-finite entries"):
+                evolve(start, [Segment(np.full((2, 2), np.nan), 1.0)])
+            for duration in (math.inf, -1.0, math.nan):
+                with pytest.raises(ValueError,
+                                   match=f"duration must be nonnegative and finite, got {duration}"):
+                    evolve(start, [Segment(np.zeros((2, 2)), duration)])
 
     def test_evolve_checks_unchecked_segments(self):
-        # compile_sequence builds its segments without Segment's checks, so
-        # evolve checks each call's Hamiltonians, on the stack path and the trajectory path
+        # Segment checks nothing itself, so evolve checks each call's
+        # Hamiltonians, on the stack path and the trajectory path
         rho0 = DensityMatrix.pure("g", GR_BASIS)
         good = Segment(drive_hamiltonian(2.0, 2), 0.01)
         for h, match in [(np.full((2, 2), np.nan), "hamiltonian has non-finite entries"),
                          (np.array([[0, 1], [0, 0]], dtype=complex), "not Hermitian")]:
-            bad = dynamics._trusted(Segment, h, 0.01)
+            bad = Segment(h, 0.01)
             with pytest.raises(ValueError, match=match):
                 evolve(np.repeat(rho0.matrix[None], 2, axis=0), [good, bad])
             with pytest.raises(ValueError, match=match):

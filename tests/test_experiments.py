@@ -434,12 +434,13 @@ class TestCli:
         ("rabi", "master_seed: 10000000000000000000"),
         ("rabi", "blockade_model: projected"),
         ("blockade_rabi", "blockade_model: infinite"),
+        ("rabi", "dt_max: 1" + "0" * 400),
     ], ids=["nan_gamma_laser", "nan_red_scatter", "nan_interaction", "negative_sigma_position",
             "nan_sigma_position", "zero_workers", "negative_workers", "inf_temperature",
             "inf_position", "one_position", "nested_position", "inf_gamma_laser",
             "string_doppler", "string_counter_propagating", "string_dt_max",
             "both_lifetimes_infinite", "master_seed_beyond_64_bits", "projected_one_atom",
-            "unknown_blockade_model"])
+            "unknown_blockade_model", "int_dt_max_beyond_float_range"])
     def test_bad_number_exits_1_without_traceback(self, tmp_path, capsys, preset_name, line):
         workers = "" if line.startswith("n_workers") else "n_workers: 1\n"
         config = tmp_path / "cfg.yaml"
@@ -459,18 +460,17 @@ class TestCli:
         ("ramsey", "sequence: {fringe_mhz: 1.0e+308}"),
     ], ids=["rabi_mhz", "interaction_u_mhz", "light_shift_mhz", "fringe_mhz"])
     def test_bad_number_found_during_the_run_exits_1(self, tmp_path, capsys, preset_name, line):
-        # each value is finite, so the config passes validation; only the
-        # Hamiltonian the run builds from it is not
+        # each value is finite, but the Hamiltonian built from it is not: the
+        # config is refused before the run, with one line and no numpy warnings,
+        # and no output directory is made
         config = tmp_path / "cfg.yaml"
         config.write_text(
             f"preset: {preset_name}\n{line}\nn_workers: 1\nscan: {{points: 2}}\nn_shots: 1\n"
             f"output_dir: {tmp_path / 'out'}\n"
         )
         assert main(["run", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.count("error:") == 1
-        assert err.splitlines()[-1] == "error: hamiltonian has non-finite entries"
+        assert capsys.readouterr().err == "error: hamiltonian has non-finite entries\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, code", [
         (["bogus"], 1), (["run"], 1), (["run", "a.yaml", "b.yaml"], 1), (["list", "--yaml"], 1),

@@ -63,7 +63,7 @@ class TestSampleNoise:
         assert abs(draws.std() - sigma) / sigma < 0.01
 
     def test_negative_width_rejected(self):
-        # the draws it returns skip NoiseSample's checks, so the widths are checked here
+        # NoiseSample is a plain record that checks nothing, so the widths are checked here
         for widths in [(-1.0, 0.0), (math.inf, 0.0), (0.0, math.nan)]:
             with pytest.raises(ValueError, match="noise widths must be nonnegative and finite"):
                 sample_noise(*widths, 1, np.random.default_rng(0))

@@ -100,6 +100,20 @@ class TestCompile:
             compile_sequence(preset("rabi", drive_time=0.5), bare_system(), zero_noise(2),
                              ideal_pulses=True)
 
+    def test_noise_sample_rules_hold_where_it_is_used(self):
+        # NoiseSample checks nothing itself: a non-finite draw gives a non-finite H,
+        # refused by evolve (a segment) or compile_sequence (an ideal pulse)
+        system, seq = bare_system(), preset("ramsey", gap=0.5)
+        rho0 = system.initial_state()
+        for noise, ideal in [(NoiseSample((math.nan,), (0.0,)), False),
+                             (NoiseSample((0.0,), (math.nan,)), True)]:
+            with pytest.raises(ValueError, match="hamiltonian has non-finite entries"):
+                run_compiled(compile_sequence(seq, system, noise, ideal_pulses=ideal), rho0)
+        drive = PulseSequence((GlobalDrive(0.25, 2.0),), n_atoms=1)
+        for noise in [NoiseSample((0.0, 0.0), (0.0,)), NoiseSample((0.0,), (0.0, 0.0))]:
+            with pytest.raises(ValueError):
+                compile_sequence(drive, system, noise)
+
     def test_projected_model_rejects_blackbody(self):
         with pytest.raises(ValueError, match="projected"):
             SystemModel(
