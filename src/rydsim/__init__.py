@@ -4,7 +4,7 @@ Submodules:
 
 * ``dynamics``: density matrices, Lindblad channels, RK4 master-equation
   integrator.
-* ``atoms``: laser/atom parameters, derived scalars, detection channel.
+* ``atoms``: laser/atom and pair parameters, derived scalars, detection channel.
 * ``pulses``: pulse-sequence model, compiler, preset sequence builders.
 * ``blockade``: two-atom analytics (entangled states, gate unitaries,
   Bell fidelity, parity scans).

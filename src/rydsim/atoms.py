@@ -1,4 +1,5 @@
-"""Physical parameters of the two-photon Rydberg drive and derived scalars.
+"""Physical parameters of the two-photon Rydberg drive and of an atom pair,
+derived scalars, and the detection channel.
 
 The drive couples the ground state g to a Rydberg state r through a far
 detuned intermediate level. The intermediate level is never simulated as a
@@ -11,7 +12,9 @@ into a dark neighbor state r' that is detected identically to r.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +32,7 @@ __all__ = [
     "RB87_MASS",
     "SINGLE_ATOM_LEVELS",
     "AtomParams",
+    "TwoAtomParams",
     "DetectionModel",
     "PERFECT_DETECTION",
     "DEFAULT_FG_TABLE",
@@ -41,6 +45,7 @@ __all__ = [
     "pure_dephasing",
     "cavity_suppression",
     "detection_probabilities",
+    "measured_outcomes",
 ]
 
 
@@ -84,6 +89,31 @@ class AtomParams:
                 "Rabi frequencies; the adiabatic elimination is questionable",
                 stacklevel=2,
             )
+
+
+@dataclass(frozen=True)
+class TwoAtomParams:
+    """Geometry and interaction of the atom pair.
+
+    ``positions_um`` are the nominal positions along the array axis; the
+    drive phase seen by atom i is k_eff * x_i, with k_eff the effective
+    wavevector of the system's atom.
+    """
+
+    interaction_u_mhz: float = 30.0
+    separation_um: float = 5.7
+    positions_um: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if not (self.separation_um > 0):
+            raise ValueError(f"separation must be positive, got {self.separation_um}")
+        if not (self.interaction_u_mhz > 0):
+            raise ValueError(f"interaction must be positive, got {self.interaction_u_mhz}")
+        positions = self.positions_um
+        positions = (0.0, self.separation_um) if positions is None else tuple(positions)
+        if len(positions) != 2 or not all(isinstance(x, numbers.Real) for x in positions):
+            raise ValueError(f"positions_um needs two numbers, got {self.positions_um}")
+        object.__setattr__(self, "positions_um", positions)
 
 
 def two_photon_rabi(p: AtomParams) -> float:
@@ -221,9 +251,8 @@ class DetectionModel:
         """Matrix from basis states to measured recapture patterns.
 
         Column j is the distribution of basis state ``level_tuples[j]`` over
-        the patterns of per-atom (recaptured, lost), atom 1 most significant.
-        Raises ``ValueError`` when a tabulated f_g does not cover the
-        trap-off time.
+        the patterns that ``measured_outcomes`` names, in its order. Raises
+        ``ValueError`` when a tabulated f_g does not cover the trap-off time.
         """
         return _confusion_matrix(level_tuples, self.fg_at(trap_off_time_us), self.f_r)
 
@@ -233,6 +262,12 @@ def _product_index(levels: tuple[str, ...]) -> int:
     basis, atom 1 most significant."""
     digits = [SINGLE_ATOM_LEVELS.index(level) for level in levels]
     return int(np.ravel_multi_index(digits, (len(SINGLE_ATOM_LEVELS),) * len(digits)))
+
+
+def measured_outcomes(n_atoms: int) -> tuple[str, ...]:
+    """Names of the confusion matrix rows: per atom recaptured -> g, lost -> r,
+    atom 1 most significant."""
+    return tuple("".join(c) for c in itertools.product("gr", repeat=n_atoms))
 
 
 @functools.lru_cache(maxsize=256)

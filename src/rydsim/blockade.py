@@ -12,12 +12,11 @@ back to gg.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import AtomParams, DetectionModel, effective_wavevector
+from .atoms import AtomParams, DetectionModel, TwoAtomParams, effective_wavevector
 from .dynamics import DensityMatrix
 from .fitting import fit_cosine
 from .units import TWO_PI
@@ -37,31 +36,6 @@ __all__ = [
     "parity_amplitude",
     "detection_corrected_fidelity",
 ]
-
-
-@dataclass(frozen=True)
-class TwoAtomParams:
-    """Geometry and interaction of the atom pair.
-
-    ``positions_um`` are the nominal positions along the array axis; the
-    drive phase seen by atom i is k_eff * x_i, with k_eff the effective
-    wavevector of the system's atom.
-    """
-
-    interaction_u_mhz: float = 30.0
-    separation_um: float = 5.7
-    positions_um: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if not (self.separation_um > 0):
-            raise ValueError(f"separation must be positive, got {self.separation_um}")
-        if not (self.interaction_u_mhz > 0):
-            raise ValueError(f"interaction must be positive, got {self.interaction_u_mhz}")
-        positions = self.positions_um
-        positions = (0.0, self.separation_um) if positions is None else tuple(positions)
-        if len(positions) != 2 or not all(isinstance(x, numbers.Real) for x in positions):
-            raise ValueError(f"positions_um needs two numbers, got {self.positions_um}")
-        object.__setattr__(self, "positions_um", positions)
 
 
 @dataclass(frozen=True)
@@ -235,8 +209,8 @@ def detection_corrected_fidelity(
     if not 0 <= f_meas <= 1:
         raise ValueError(f"measured fidelity {f_meas} outside [0, 1]")
 
-    # Column j of c is the measured-pattern distribution (gg, gr, rg, rr with
-    # recaptured read as g) of basis state TWO_ATOM_BASIS[j].
+    # Column j of c is the distribution of basis state TWO_ATOM_BASIS[j] over
+    # the measured patterns measured_outcomes(2) = (gg, gr, rg, rr).
     c = d.confusion_matrix(_TWO_ATOM_LEVELS, trap_off_time_us)
 
     # Diagonal ceiling: perfect W has P_gr = P_rg = 1/2; sum the measured

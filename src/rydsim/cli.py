@@ -19,6 +19,7 @@ sets the default worker count (default: the machine's available parallelism).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -125,6 +126,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        if argv is None:  # the process exits next: spare it the exit-time collections
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ external units are us, MHz and probabilities.
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import functools
 import inspect
 import json
@@ -27,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, pulses
-from .atoms import AtomParams, DetectionModel, doppler_sigma
-from .blockade import BellRecord, TwoAtomParams, detection_corrected_fidelity
+from .atoms import AtomParams, DetectionModel, TwoAtomParams, doppler_sigma
+from .blockade import BellRecord, detection_corrected_fidelity
 from .dynamics import DEFAULT_DT_MAX, _check_hamiltonians
 from .fitting import fit_cosine, fit_damped_cosine, fit_decay
 from .montecarlo import (
@@ -89,11 +88,11 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)  # validated config echo
 
     def system(self) -> SystemModel:
-        info = preset_info(self.preset)
+        n_atoms = preset_info(self.preset).n_atoms
         return SystemModel(
             atom=self.atom,
-            n_atoms=info.n_atoms,
-            two_atom=self.two_atom if info.n_atoms == 2 else None,
+            n_atoms=n_atoms,
+            two_atom=self.two_atom if n_atoms == 2 else None,
             blockade_model=self.blockade_model,
             scattering=self.scattering,
             blackbody=self.blackbody and self.blockade_model != "projected",
@@ -505,19 +504,22 @@ class Preset:
     """One named experiment.
 
     ``build`` maps the scanned value, its first parameter, to a pulse
-    sequence; its keyword parameters and their defaults are the preset's
-    sequence parameters. ``analyze`` turns a finished scan into derived
-    scalars, each carrying its pass/fail rule.
+    sequence, whose ``n_atoms`` is the preset's; its keyword parameters and
+    their defaults are the preset's sequence parameters. ``analyze`` turns a
+    finished scan into derived scalars, each carrying its pass/fail rule.
     """
 
     name: str
     description: str
-    n_atoms: int
     build: Callable[..., PulseSequence]
     analyze: Callable[[ExperimentConfig, EnsembleResult], list[DerivedScalar]]
     default_scan: tuple[float, float, int]  # start, stop, points
     default_shots: int
     observable: str
+
+    @property
+    def n_atoms(self) -> int:
+        return self.build(self.default_scan[0]).n_atoms
 
     @property
     def scan_variable(self) -> str:
@@ -537,7 +539,6 @@ PRESETS: dict[str, Preset] = {
             "Single-atom resonant drive for a scanned duration; the loss "
             "probability oscillates at the two-photon Rabi frequency and its "
             "contrast decays under Doppler and scattering noise.",
-            1,
             pulses._preset_rabi,
             _analyze_rabi,
             (0.05, 12.05, 121),
@@ -549,7 +550,6 @@ PRESETS: dict[str, Preset] = {
             "Excite with a pi pulse, wait a scanned delay, de-excite; the "
             "return probability decays with the combined excited-state "
             "lifetime (blackbody, radiative, red scattering).",
-            1,
             pulses._preset_t1,
             _analyze_t1,
             (0.0, 150.0, 20),
@@ -561,7 +561,6 @@ PRESETS: dict[str, Preset] = {
             "Two pi/2 pulses separated by a scanned gap, with a synthetic "
             "fringe imprinted on the closing pulse phase; shot-to-shot "
             "Doppler detunings give a Gaussian contrast decay.",
-            1,
             pulses._preset_ramsey,
             _analyze_ramsey,
             (0.05, 12.05, 49),
@@ -573,7 +572,6 @@ PRESETS: dict[str, Preset] = {
             "Ramsey with a refocusing pi pulse between symmetric arms; "
             "static Doppler shifts cancel, exposing lifetime and any added "
             "collective dephasing.",
-            1,
             pulses._preset_spin_echo,
             _analyze_spin_echo,
             (0.0, 60.0, 16),
@@ -585,7 +583,6 @@ PRESETS: dict[str, Preset] = {
             "Single-atom ground-state phase gate of scanned duration inside "
             "a balanced spin echo; the return probability oscillates at the "
             "light-shift frequency.",
-            1,
             pulses._preset_phase_gate_echo,
             _analyze_phase_gate,
             (0.0, 1.0, 41),
@@ -598,7 +595,6 @@ PRESETS: dict[str, Preset] = {
             "the pair oscillates between gg and the symmetric singly excited "
             "state at sqrt(2) times the single-atom rate with the doubly "
             "excited state blockaded.",
-            2,
             pulses._preset_blockade_rabi,
             _analyze_blockade,
             (0.02, 1.6, 80),
@@ -611,7 +607,6 @@ PRESETS: dict[str, Preset] = {
             "run a local phase gate for a scanned duration, close with a "
             "second pi pulse; the gg return oscillates with amplitude equal "
             "to twice the pair coherence.",
-            2,
             pulses._preset_parity_scan,
             _analyze_parity,
             (0.0, 0.4, 21),
@@ -623,7 +618,6 @@ PRESETS: dict[str, Preset] = {
             "Blockaded pi pulse, scanned hold, blockaded pi pulse; relative "
             "per-atom Doppler phases dephase the entangled state within a "
             "few microseconds.",
-            2,
             pulses._preset_w_lifetime,
             _analyze_w_lifetime,
             (0.1, 10.0, 21),
@@ -636,7 +630,6 @@ PRESETS: dict[str, Preset] = {
             "midpoint that swaps the two single-excitation amplitudes and "
             "refocuses Doppler phases, extending the pair lifetime to the "
             "decay-limited scale.",
-            2,
             pulses._preset_w_echo,
             _analyze_w_echo,
             (0.2, 60.0, 16),
@@ -651,6 +644,7 @@ def preset_info(name: str) -> Preset:
     try:
         return PRESETS[name]
     except KeyError:
+        import difflib  # only here: every other process would pay for its import
         hint = difflib.get_close_matches(name, PRESETS, n=1)
         suffix = f"; did you mean {hint[0]!r}?" if hint else ""
         raise ValueError(f"unknown preset {name!r}{suffix}") from None

@@ -30,7 +30,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .atoms import SINGLE_ATOM_LEVELS, DetectionModel, PERFECT_DETECTION, doppler_sigma
+from .atoms import (SINGLE_ATOM_LEVELS, DetectionModel, PERFECT_DETECTION, doppler_sigma,
+                    measured_outcomes)
 from .dynamics import DEFAULT_DT_MAX, POSITIVITY_TOL
 from .pulses import (
     NoiseSample,
@@ -78,11 +79,6 @@ def sample_noise(
     doppler = rng.normal(0.0, 1.0, size=n_atoms) * sigma_doppler_krad_s
     position = rng.normal(0.0, 1.0, size=n_atoms) * sigma_position_um
     return NoiseSample(tuple(doppler.tolist()), tuple(position.tolist()))
-
-
-def measured_outcomes(n_atoms: int) -> tuple[str, ...]:
-    """Composite measured labels: recaptured -> g, lost -> r."""
-    return tuple("".join(c) for c in itertools.product("gr", repeat=n_atoms))
 
 
 def apply_detection(

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import (SINGLE_ATOM_LEVELS, AtomParams, _product_index, effective_wavevector,
-                    rydberg_lifetime)
-from .blockade import TwoAtomParams
+from .atoms import (SINGLE_ATOM_LEVELS, AtomParams, TwoAtomParams, _product_index,
+                    effective_wavevector, rydberg_lifetime)
 from .dynamics import (DEFAULT_DT_MAX, DensityMatrix, LindbladChannel, Segment,
                        _check_hamiltonians, _kron)
 from .units import TWO_PI, krad_s_to_angular, mhz_to_angular

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import gc
 import inspect
 import json
 import math
@@ -492,6 +493,27 @@ class TestCli:
         }
         assert printers == {"cli.py"}
 
+    def test_only_the_cli_process_freezes_gc_for_its_exit(self, capsys):
+        # the rydsim script and ``python -m rydsim.cli`` call main() and then
+        # exit; freezing spares the exit its collections over every object
+        code = ("import gc, sys\nfrom rydsim.cli import main\nsys.argv = ['rydsim', 'list']\n"
+                "main()\nprint(gc.get_freeze_count())\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        assert int(out.splitlines()[-1]) > 0
+        # a caller that passes its own argv keeps running, so its heap stays collectable
+        before = gc.get_freeze_count()
+        assert main(["list"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_import_leaves_difflib_to_the_unknown_preset_message(self):
+        code = "import sys, rydsim.cli\nprint('difflib' in sys.modules)\n"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        assert out.strip() == "False"
+
     def test_output_dir_that_is_a_file_exits_1_before_simulating(self, tmp_path, capsys):
         blocker = tmp_path / "taken"
         blocker.write_text("")
@@ -512,6 +534,30 @@ class TestCli:
         for value in ("not-a-number", "0", "-3"):
             monkeypatch.setenv("RYDSIM_WORKERS", value)
             assert main(["run", str(config)]) == 1, value
+
+
+def package_imports(path: Path) -> set[str]:
+    """The rydsim modules that a module of the package imports, relatively or by name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("rydsim." if node.level else "") + (node.module or "")
+            dotted = [f"{module.rstrip('.')}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        names.update(d.split(".")[1] for d in dotted if d.startswith("rydsim."))
+    return names
+
+
+def test_simulator_core_imports_no_analysis_module():
+    # the core runs the physics; blockade, fitting, experiments, acceptance and
+    # cli analyse and present it, so they may import the core but not the reverse
+    core = ("dynamics", "atoms", "pulses", "montecarlo", "units")
+    analysis = {"blockade", "fitting", "experiments", "acceptance", "cli"}
+    reached = {m: package_imports(SRC / "rydsim" / f"{m}.py") & analysis for m in core}
+    assert reached == {m: set() for m in core}
 
 
 def unfittable_result(cfg, shape):
